@@ -10,7 +10,7 @@
 //   emmark_cli trace    --set fleet.fps --codes fleet/edge-device-3.codes
 //   emmark_cli list-schemes
 //   emmark_cli daemon   --script session.txt   # or interactive over stdin
-//   emmark_cli serve    --port 4780 --shards 2 # TCP front-end, same protocol
+//   emmark_cli serve    --port 4780 --shards 2 # TCP front door, same protocol
 //
 // `daemon` and `serve` are two transports over one serving core
 // (RequestRouter, src/cli/router.h): warm sharded ModelStores plus async
@@ -337,12 +337,17 @@ int cmd_shard_worker(const std::vector<std::string>& argv) {
   return run_shard_worker(std::move(config));
 }
 
-int cmd_serve_process_shards(const ArgParser& args) {
-  SupervisorConfig config;
+/// `serve`'s front-door options, for either mode.
+void read_front_door_options(const ArgParser& args, ServerConfig& config) {
   config.port = static_cast<uint16_t>(args.get_int("port"));
   config.bind_addr = args.get("bind");
   config.max_inflight_per_conn =
       static_cast<size_t>(args.get_int("max-inflight"));
+}
+
+int cmd_serve_process_shards(const ArgParser& args) {
+  SupervisorConfig config;
+  read_front_door_options(args, config);
   config.worker_cmd = args.get("worker-cmd");
   config.socket_dir = args.get("socket-dir");
   config.respawn_backoff_ms = static_cast<int>(args.get_int("respawn-backoff"));
@@ -370,15 +375,16 @@ int cmd_serve_process_shards(const ArgParser& args) {
 
 int cmd_serve(const std::vector<std::string>& argv) {
   ArgParser args("emmark_cli serve",
-                 "TCP socket server: the daemon protocol over loopback "
-                 "sockets, sharded backends, N concurrent connections");
+                 "TCP socket server: the daemon protocol (and minimal "
+                 "HTTP/1.1) over loopback sockets, sharded backends, N "
+                 "concurrent connections");
   args.add_option("port", "4780", "port to listen on (0 = ephemeral)");
   args.add_option("bind", "127.0.0.1", "bind address");
   args.add_option("max-inflight", "64",
                   "unflushed requests per connection before reads pause");
   args.add_flag("process-shards",
                 "one worker process per shard behind a supervising proxy "
-                "(respawn on crash) plus HTTP/1.1 on the same port");
+                "(respawn on crash)");
   args.add_option("worker-cmd", "",
                   "worker binary for --process-shards (default: this binary)");
   args.add_option("socket-dir", "",
@@ -396,10 +402,7 @@ int cmd_serve(const std::vector<std::string>& argv) {
   RequestRouter router(router_config_from(args));
 
   ServerConfig server_config;
-  server_config.port = static_cast<uint16_t>(args.get_int("port"));
-  server_config.bind_addr = args.get("bind");
-  server_config.max_inflight_per_conn =
-      static_cast<size_t>(args.get_int("max-inflight"));
+  read_front_door_options(args, server_config);
   SocketServer server(router, server_config);
 
   g_serve_instance = &server;
@@ -407,8 +410,9 @@ int cmd_serve(const std::vector<std::string>& argv) {
   std::signal(SIGTERM, serve_signal_handler);
 
   std::fprintf(stderr,
-               "emmark_cli serve: listening on %s:%u (%zu shard%s); "
-               "SIGINT/SIGTERM for graceful shutdown\n",
+               "emmark_cli serve: listening on %s:%u (%zu shard%s); HTTP on "
+               "the same port (GET /metrics, POST /v1/<verb>); SIGINT/SIGTERM "
+               "for graceful shutdown\n",
                args.get("bind").c_str(), static_cast<unsigned>(server.port()),
                router.config().shards, router.config().shards == 1 ? "" : "s");
   const int rc = server.run();

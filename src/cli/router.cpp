@@ -125,9 +125,7 @@ struct RouterMetrics {
   }
 };
 
-// --- wire helpers ------------------------------------------------------------
-
-namespace {
+// --- wire grammar ------------------------------------------------------------
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -152,11 +150,37 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string json_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+std::string error_line(const std::string& id, const std::string& cmd,
+                       const std::string& error, const char* flag) {
+  std::string line = "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"" +
+                     json_escape(cmd) + "\",\"ok\":false,\"error\":\"" +
+                     json_escape(error) + "\"";
+  if (flag != nullptr) line += ",\"" + std::string(flag) + "\":true";
+  return line + "}";
 }
+
+std::vector<std::string> tokenize(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::istringstream split(line);
+  std::string token;
+  while (split >> token) tokens.push_back(token);
+  return tokens;
+}
+
+std::string request_id(const std::vector<std::string>& tokens) {
+  std::string id;
+  for (const std::string& token : tokens) {
+    if (token.rfind("id=", 0) == 0) id = token.substr(3);
+  }
+  return id;
+}
+
+bool is_engine_verb(const std::string& cmd) {
+  return cmd == "insert" || cmd == "extract" || cmd == "verify" ||
+         cmd == "trace";
+}
+
+namespace {
 
 /// `key=value` parameters following the command word. Numeric getters
 /// reject values with trailing garbage ("bits=8x"): std::stoll/std::stod
@@ -218,6 +242,50 @@ Params parse_params(const std::vector<std::string>& tokens) {
   return params;
 }
 
+/// The spec an engine verb runs against. Throws on an unknown model or
+/// quant spec.
+ModelSpec resolve_spec(const Params& params, int64_t train_steps_cap) {
+  ModelSpec spec;
+  spec.model = params.get("model", "opt-125m-sim");
+  spec.method = parse_quant_spec(params.get("quant", "int4"),
+                                 zoo_entry(spec.model).family);
+  spec.train_steps_cap = train_steps_cap;
+  return spec;
+}
+
+}  // namespace
+
+RequestCheck check_request(const std::vector<std::string>& tokens,
+                           int64_t train_steps_cap) {
+  // Required parameters per verb, in the order the session requires them.
+  static const std::map<std::string, std::vector<std::string>> kRequired = {
+      {"extract", {"codes", "record"}},
+      {"verify", {"codes", "evidence"}},
+      {"trace", {"codes", "set"}},
+  };
+  RequestCheck check;
+  const Params params = parse_params(tokens);
+  if (tokens.empty() || !is_engine_verb(tokens[0])) return check;
+  check.spec = resolve_spec(params, train_steps_cap);
+  if (const auto it = kRequired.find(tokens[0]); it != kRequired.end()) {
+    for (const std::string& key : it->second) {
+      if (!params.kv.count(key)) {
+        check.missing = key;
+        break;
+      }
+    }
+  }
+  return check;
+}
+
+namespace {
+
+std::string json_double(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
 /// Stable key for read-after-write artifact matching: two spellings of
 /// one path ("dep.codes", "./dep.codes") must collide.
 std::string artifact_key(const std::string& path) {
@@ -264,12 +332,6 @@ struct ClaimRelease {
   uint64_t seq;
   ~ClaimRelease() { release_claims(claims, keys, seq); }
 };
-
-std::string error_line(const std::string& id, const std::string& cmd,
-                       const std::string& error) {
-  return "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"" + json_escape(cmd) +
-         "\",\"ok\":false,\"error\":\"" + json_escape(error) + "\"}";
-}
 
 template <typename Result>
 bool future_ready(const std::shared_future<Result>& future) {
@@ -827,11 +889,6 @@ void RequestRouter::Session::poll(const LineSink& emit) {
   flush_pending(/*block=*/false, emit);
 }
 
-void RequestRouter::Session::settle(const LineSink& emit) {
-  advance_pending();
-  flush_pending(/*block=*/true, emit);
-}
-
 void RequestRouter::Session::finish(const LineSink& emit) {
   advance_pending();
   flush_pending(/*block=*/true, emit);
@@ -845,13 +902,8 @@ bool RequestRouter::Session::handle_line(const std::string& line,
                                          const LineSink& emit) {
   const RouterConfig& config = router_.config_;
 
-  // Tokenize; skip blanks and comment lines.
-  std::vector<std::string> tokens;
-  {
-    std::istringstream split(line);
-    std::string token;
-    while (split >> token) tokens.push_back(token);
-  }
+  // Skip blanks and comment lines.
+  const std::vector<std::string> tokens = tokenize(line);
   if (tokens.empty() || tokens[0][0] == '#') {
     poll(emit);
     return !quit_;
@@ -864,14 +916,7 @@ bool RequestRouter::Session::handle_line(const std::string& line,
     const Params params = parse_params(tokens);
     id = params.get("id", "req-" + std::to_string(++auto_id_));
 
-    auto spec_for = [&] {
-      ModelSpec spec;
-      spec.model = params.get("model", "opt-125m-sim");
-      spec.method = parse_quant_spec(params.get("quant", "int4"),
-                                     zoo_entry(spec.model).family);
-      spec.train_steps_cap = config.train_steps_cap;
-      return spec;
-    };
+    auto spec_for = [&] { return resolve_spec(params, config.train_steps_cap); };
 
     // Admission control (--max-queued): resolve the home shard and shed
     // *before* any work happens -- no build started, no claims taken, not
@@ -1225,10 +1270,7 @@ bool RequestRouter::Session::handle_line(const std::string& line,
     const size_t verb = verb_index(cmd);
     router_.metrics_->requests[verb]->inc();
     router_.metrics_->failures[verb]->inc();
-    const std::string json =
-        "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"" + json_escape(cmd) +
-        "\",\"ok\":false,\"error\":\"" + json_escape(e.what()) +
-        "\",\"shed\":true}";
+    const std::string json = error_line(id, cmd, e.what(), "shed");
     pending_.push_back(PendingOutput{{}, [] { return true; },
                                      [json]() -> std::string { return json; }});
   } catch (const std::exception& e) {

@@ -2,7 +2,7 @@
 //
 // PR 3's daemon fused three things into one loop: the newline-delimited
 // JSON protocol, the stdio transport, and a single ModelStore + engine
-// backend. This splits them so the stdio daemon and the TCP socket server
+// backend. This splits them so the stdio daemon and the socket front door
 // (src/net/server.h) share one implementation byte for byte:
 //
 //   * RequestRouter owns the backend shards. Each shard is an independent
@@ -10,7 +10,7 @@
 //     hashes model-spec keys across them, so every spec has a home shard
 //     and hot models from different shards never thrash one LRU.
 //   * RequestRouter::Session is one protocol conversation (a stdin stream,
-//     or one TCP connection): it parses request lines, dispatches to the
+//     or one front-door connection): it parses request lines, dispatches to the
 //     spec's home shard, and flushes exactly one JSON line per request in
 //     request order. Ordering, artifact read/write dependencies, and the
 //     submitted/completed/failed counters in `stats` are all per-session;
@@ -30,7 +30,7 @@
 // the architecture (layering, threading, sharding) in docs/ARCHITECTURE.md.
 //
 // Sessions are single-threaded: all calls on one Session must come from
-// one thread at a time (the daemon loop, or the server's event loop). The
+// one thread at a time (the daemon loop, or the front door's event loop). The
 // router's shards are thread-safe and shared by any number of sessions.
 #pragma once
 
@@ -40,6 +40,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,6 +56,76 @@ namespace emmark {
 /// per-family quantizer; explicit method names ("awq-int4", ...) pass
 /// through. Throws std::invalid_argument on unknown specs.
 QuantMethod parse_quant_spec(const std::string& spec, ArchFamily family);
+
+// --- wire grammar (docs/PROTOCOL.md §2) --------------------------------------
+//
+// The one definition of the request-line grammar and the error-line shape.
+// The session below runs requests with it. Without running a request, the
+// front door (src/net/server.h) maps HTTP parse errors to 400 with
+// check_request, and the process-shard supervisor routes a line to its
+// home worker with it.
+
+std::string json_escape(const std::string& s);
+
+/// The canonical failure line: {"id":..,"cmd":..,"ok":false,"error":..},
+/// plus `,"<flag>":true` when a flag is given ("shed", "retryable";
+/// docs/PROTOCOL.md §7).
+std::string error_line(const std::string& id, const std::string& cmd,
+                       const std::string& error, const char* flag = nullptr);
+
+/// Whitespace-split request tokens; tokens[0] is the verb.
+std::vector<std::string> tokenize(const std::string& line);
+
+/// Value of the last `id=` token, "" when there is none.
+std::string request_id(const std::vector<std::string>& tokens);
+
+/// The verbs that run on an engine shard against a model spec.
+bool is_engine_verb(const std::string& cmd);
+
+/// A request line checked without running it, in the session's own order:
+/// parameters, then (engine verbs) the spec, then the required-parameter
+/// table. Parse and spec errors throw with the session's exact error text.
+struct RequestCheck {
+  std::optional<ModelSpec> spec;  // engine verbs only
+  std::string missing;            // first absent required parameter, or ""
+};
+RequestCheck check_request(const std::vector<std::string>& tokens,
+                           int64_t train_steps_cap);
+
+/// One protocol conversation as a transport drives it: the stdio daemon
+/// and the front door (src/net/server.h) feed it request lines and collect
+/// response lines. RequestRouter::Session runs requests in process; the
+/// process-shard supervisor's fleet session proxies them to workers.
+class ProtocolSession {
+ public:
+  /// Receives one complete response (no trailing newline).
+  using LineSink = std::function<void(const std::string&)>;
+
+  virtual ~ProtocolSession() = default;
+
+  /// Parses and dispatches one request line. Ready responses (this
+  /// request's, or earlier ones that just completed) are flushed to
+  /// `emit`. Never blocks. Returns false once the session saw `quit`: the
+  /// caller must stop feeding lines and call finish().
+  virtual bool handle_line(const std::string& line, const LineSink& emit) = 0;
+
+  /// Advances pending work and flushes responses that became ready,
+  /// without blocking. Transports call this between inputs so completed
+  /// async work reaches the client even while the connection is idle.
+  virtual void poll(const LineSink& emit) = 0;
+
+  /// Ends the conversation: flushes every pending response (blocking if
+  /// any is still running) and, for an in-process session that saw
+  /// `quit`, the closing quit line. Call exactly once, after the last
+  /// handle_line; the front door calls it once inflight() is 0.
+  virtual void finish(const LineSink& emit) = 0;
+
+  /// Requests whose responses have not flushed yet (the per-connection
+  /// in-flight bound the front door throttles reads on).
+  virtual size_t inflight() const = 0;
+
+  virtual bool quit_seen() const = 0;
+};
 
 struct RouterConfig {
   /// Zoo checkpoint cache directory ("" = default).
@@ -116,8 +187,7 @@ class ShardRouter {
 
 class RequestRouter {
  public:
-  /// Receives one complete response line (no trailing newline).
-  using LineSink = std::function<void(const std::string&)>;
+  using LineSink = ProtocolSession::LineSink;
 
   /// Per-shard observability snapshot for the `stats` verb.
   struct ShardSnapshot {
@@ -162,44 +232,20 @@ class RequestRouter {
   /// off). Driven from the serving poll/pump cycles.
   void sweep_stores();
 
-  /// One protocol conversation. Responses stream through the sink passed
-  /// to each call, strictly in request order for this session.
-  class Session {
+  /// One in-process protocol conversation. Responses stream through the
+  /// sink passed to each call, strictly in request order for this session.
+  class Session : public ProtocolSession {
    public:
-    ~Session();
+    ~Session() override;
 
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
 
-    /// Parses and dispatches one request line. Ready responses (this
-    /// request's, or earlier ones that just completed) are flushed to
-    /// `emit`. Never blocks on builds, engine backpressure, or artifact
-    /// I/O. Returns false once the session saw `quit`: the caller must
-    /// stop feeding lines and call finish().
-    bool handle_line(const std::string& line, const LineSink& emit);
-
-    /// Advances deferred pipelines (build landed -> engine submission)
-    /// and flushes responses whose results became ready, without
-    /// blocking. Transports call this between inputs so completed async
-    /// work reaches the client even while the connection is idle.
-    void poll(const LineSink& emit);
-
-    /// Blocks until every currently pending response has flushed, without
-    /// ending the session (unlike finish()). The socket server uses it at
-    /// graceful shutdown to alternate settle/feed passes over a backlog
-    /// that was throttled at the in-flight bound.
-    void settle(const LineSink& emit);
-
-    /// Blocks until every pending response has flushed; emits the closing
-    /// quit line if the session ended via `quit` (EOF sessions just
-    /// settle). Call exactly once, after the last handle_line.
-    void finish(const LineSink& emit);
-
-    /// Requests whose responses have not flushed yet (the per-connection
-    /// in-flight bound the socket server throttles reads on).
-    size_t inflight() const { return pending_.size(); }
-
-    bool quit_seen() const { return quit_; }
+    bool handle_line(const std::string& line, const LineSink& emit) override;
+    void poll(const LineSink& emit) override;
+    void finish(const LineSink& emit) override;
+    size_t inflight() const override { return pending_.size(); }
+    bool quit_seen() const override { return quit_; }
 
    private:
     friend class RequestRouter;

@@ -105,13 +105,6 @@ inline uint8_t int4_pack(int8_t lo, int8_t hi) {
 /// Bytes one packed int4 row occupies: two codes per byte, odd tail padded.
 inline int64_t int4_row_bytes(int64_t cols) { return (cols + 1) / 2; }
 
-/// gemm_panel_f32 flag bit: the caller is writing the final K-panel of a
-/// large C tile, so a level MAY use streaming (non-temporal) stores for
-/// aligned full-width output blocks. The stored bits are identical either
-/// way -- the flag is purely a cache-management hint -- and levels without
-/// NT stores (scalar, NEON) ignore it.
-inline constexpr uint32_t kGemmFlagNtStore = 1u << 0;
-
 /// Per-call context for the Eq. 2-4 scoring sweep over one row.
 struct ScoreArgs {
   const int8_t* codes = nullptr;    // row slice of the contiguous code buffer
@@ -195,11 +188,10 @@ struct Ops {
   /// (the same per-output summation order as pb back-to-back axpy_f32
   /// calls, hence bit-identical to them), and stored once -- instead of a
   /// load/store round trip per K step. Same FMA prohibition as axpy_f32:
-  /// one IEEE mul and one IEEE add per element. `flags` carries
-  /// kGemmFlagNtStore (see above); levels may ignore it.
+  /// one IEEE mul and one IEEE add per element.
   void (*gemm_panel_f32)(float* dst, const float* panel, int64_t panel_stride,
                          const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb, uint32_t flags);
+                         int64_t jb);
 
   /// Dequantize one group-aligned span of a PACKED int4 row (two codes per
   /// byte, layout per the nibble codec above). `packed_row` is the start of

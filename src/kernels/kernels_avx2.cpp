@@ -190,13 +190,11 @@ void dequant_span_f32_avx2(const int8_t* codes, float scale,
 
 void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
                          const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb, uint32_t flags) {
+                         int64_t jb) {
   // dst stays in registers across the whole K-panel: four accumulators per
   // 32-output block, strict ascending-p adds (the same per-output IEEE
   // sequence as the axpy sweep), explicit mul + add (no FMA).
   const bool prefetch = gemm_prefetch_enabled();
-  const bool want_nt = (flags & kGemmFlagNtStore) != 0;
-  bool streamed = false;
   int64_t j = 0;
   for (; j + 32 <= jb; j += 32) {
     __m256 acc0 = _mm256_loadu_ps(dst + j);
@@ -216,20 +214,10 @@ void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
       acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(xv, _mm256_loadu_ps(row + 16)));
       acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(xv, _mm256_loadu_ps(row + 24)));
     }
-    if (want_nt && (reinterpret_cast<uintptr_t>(dst + j) & 31u) == 0) {
-      // Streaming stores write the identical bits; they only skip the
-      // read-for-ownership, which is a win when C is bigger than cache.
-      _mm256_stream_ps(dst + j, acc0);
-      _mm256_stream_ps(dst + j + 8, acc1);
-      _mm256_stream_ps(dst + j + 16, acc2);
-      _mm256_stream_ps(dst + j + 24, acc3);
-      streamed = true;
-    } else {
-      _mm256_storeu_ps(dst + j, acc0);
-      _mm256_storeu_ps(dst + j + 8, acc1);
-      _mm256_storeu_ps(dst + j + 16, acc2);
-      _mm256_storeu_ps(dst + j + 24, acc3);
-    }
+    _mm256_storeu_ps(dst + j, acc0);
+    _mm256_storeu_ps(dst + j + 8, acc1);
+    _mm256_storeu_ps(dst + j + 16, acc2);
+    _mm256_storeu_ps(dst + j + 24, acc3);
   }
   for (; j + 8 <= jb; j += 8) {
     __m256 acc = _mm256_loadu_ps(dst + j);
@@ -241,12 +229,9 @@ void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
     }
     _mm256_storeu_ps(dst + j, acc);
   }
-  // Drain the write-combining buffers before anyone (including pool
-  // synchronization) reads the streamed outputs.
-  if (streamed) _mm_sfence();
   if (j < jb) {
     detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j, 0);
+                                  pb, jb - j);
   }
 }
 

@@ -125,11 +125,10 @@ void dequant_span_f32_neon(const int8_t* codes, float scale,
 
 void gemm_panel_f32_neon(float* dst, const float* panel, int64_t panel_stride,
                          const float* x, int64_t x_stride, int64_t pb,
-                         int64_t jb, uint32_t /*flags*/) {
+                         int64_t jb) {
   // dst stays in registers across the whole K-panel: four accumulators per
   // 16-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the axpy sweep), explicit mul + add (no FMA). NEON has no
-  // streaming-store instruction, so the NT-store flag is ignored.
+  // sequence as the axpy sweep), explicit mul + add (no FMA).
   const bool prefetch = gemm_prefetch_enabled();
   int64_t j = 0;
   for (; j + 16 <= jb; j += 16) {
@@ -163,7 +162,7 @@ void gemm_panel_f32_neon(float* dst, const float* panel, int64_t panel_stride,
   }
   if (j < jb) {
     detail::gemm_panel_f32_scalar(dst + j, panel + j, panel_stride, x, x_stride,
-                                  pb, jb - j, 0);
+                                  pb, jb - j);
   }
 }
 

@@ -110,8 +110,7 @@ inline void dequant_span_f32_scalar(const int8_t* codes, float scale,
 
 inline void gemm_panel_f32_scalar(float* dst, const float* panel,
                                   int64_t panel_stride, const float* x,
-                                  int64_t x_stride, int64_t pb, int64_t jb,
-                                  uint32_t /*flags*/) {
+                                  int64_t x_stride, int64_t pb, int64_t jb) {
   for (int64_t j = 0; j < jb; ++j) {
     // Register accumulator, ascending p: the identical IEEE add sequence as
     // pb axpy_f32 sweeps hitting dst[j] through memory.

@@ -89,26 +89,37 @@ HttpParser::Status HttpParser::parse(std::string& buf, HttpRequest& out,
       if (error) *error = "malformed header: " + line;
       return Status::kError;
     }
-    out.headers[lower(trim(line.substr(0, colon)))] =
-        trim(line.substr(colon + 1));
-  }
-
-  size_t body_len = 0;
-  if (auto it = out.headers.find("content-length"); it != out.headers.end()) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-      if (error) *error = "bad Content-Length: " + it->second;
+    const std::string key = lower(trim(line.substr(0, colon)));
+    // Two lengths leave the framing ambiguous; a proxy in front may have
+    // picked the other one (request smuggling).
+    if (!out.headers.emplace(key, trim(line.substr(colon + 1))).second &&
+        key == "content-length") {
+      if (error) *error = "duplicate Content-Length";
       return Status::kError;
     }
-    body_len = static_cast<size_t>(v);
-    if (body_len > kMaxBodyBytes) {
+  }
+
+  // Content-Length framing only. A Transfer-Encoding is refused even next
+  // to a Content-Length, for the same smuggling reason.
+  if (out.headers.count("transfer-encoding")) {
+    if (error) *error = "chunked transfer encoding not supported";
+    return Status::kError;
+  }
+  size_t body_len = 0;
+  if (auto it = out.headers.find("content-length"); it != out.headers.end()) {
+    const std::string& value = it->second;
+    // Digits only: strtoull alone would take "+5" and wrap "-1".
+    if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
+      if (error) *error = "bad Content-Length: " + value;
+      return Status::kError;
+    }
+    // strtoull saturates on overflow, which the limit then rejects.
+    const unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+    if (v > kMaxBodyBytes) {
       if (error) *error = "body too large";
       return Status::kError;
     }
-  } else if (out.headers.count("transfer-encoding")) {
-    if (error) *error = "chunked transfer encoding not supported";
-    return Status::kError;
+    body_len = static_cast<size_t>(v);
   }
 
   const size_t total = head_end + 4 + body_len;

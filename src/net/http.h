@@ -1,13 +1,15 @@
-// Minimal HTTP/1.1 support for the supervisor front door.
+// Minimal HTTP/1.1 support for the front door (src/net/server.h).
 //
-// The supervisor serves both transports on one port: the first bytes of a
-// connection decide whether it speaks the newline-delimited protocol or
-// HTTP (sniff_transport). HTTP requests map onto protocol verbs
+// Every front-door port serves both transports -- in-process `serve` and
+// the process-shard supervisor alike: the first bytes of a connection
+// decide whether it speaks the newline-delimited protocol or HTTP
+// (sniff_transport). HTTP requests map onto protocol verbs
 // (docs/PROTOCOL.md §8): `GET /metrics` is the `metrics` verb's
 // Prometheus exposition, `POST /v1/<verb>` carries one request line's
 // parameters as the body. This is deliberately not a general HTTP stack:
-// Content-Length framing only (no chunked encoding, no trailers), no
-// TLS, loopback-oriented.
+// Content-Length framing only (no chunked encoding, no trailers; a
+// Transfer-Encoding header, a duplicate or a signed Content-Length is a
+// framing error), no TLS, loopback-oriented.
 #pragma once
 
 #include <map>

@@ -1,26 +1,42 @@
-// SocketServer: the TCP front-end over the RequestRouter serving core.
+// The front door: the one event loop behind every listening socket.
 //
-// `emmark_cli serve` binds a listening socket and runs a single-threaded
-// poll/accept loop. Every accepted connection gets its own
-// RequestRouter::Session (per-connection ordering, artifact dependencies,
-// counters) speaking the same newline-delimited JSON protocol as the stdio
-// daemon (docs/PROTOCOL.md) -- same RequestRouter code path, so responses
-// are byte-identical between transports. Heavy work -- request bodies,
-// cold model builds, artifact file I/O, suspect deep copies -- runs on the
-// shard engines' pool workers via the router's lazy verb pipelines; the
-// loop thread only parses, dispatches, and shuttles bytes, and each poll
-// cycle retries deferred engine submissions (build not ready yet, or
-// engine queue full) without ever parking (docs/ARCHITECTURE.md,
-// "Threading"). A cold build on one connection therefore never delays
-// warm traffic on another.
+// `emmark_cli serve`, every process-shard worker, and the process-shard
+// supervisor (src/net/supervisor.h) all serve clients through FrontDoor, a
+// single-threaded poll loop. It binds the listener (TCP, or AF_UNIX for
+// the workers), accepts connections, and drives each one through a
+// ProtocolSession (src/cli/router.h). The loop owns everything about a
+// connection except what its requests mean:
+//
+//   * the read and write buffers, the 1 MiB line cap, and the
+//     per-connection in-flight bound: reads pause at the bound, so a
+//     client that pipelines faster than requests complete is throttled by
+//     TCP backpressure instead of growing an unbounded queue;
+//   * transport sniffing: the first bytes decide between the
+//     newline-delimited protocol and minimal HTTP/1.1 (net/http.h). An
+//     HTTP request becomes one protocol line, checked with the router's
+//     check_request first, so parse errors map to 400 and unknown paths to
+//     404 without reaching the session (docs/PROTOCOL.md §8);
+//   * responses in request order, `quit`, and the graceful-shutdown drain.
+//
+// Two session kinds plug in. RequestRouter::Session runs requests in
+// process: SocketServer below serves `serve` and the shard workers with it.
+// The supervisor's fleet session proxies requests to worker processes. A
+// FrontDoorBackend hands out the sessions and adds per-cycle work and
+// extra fds (the supervisor's worker links) to the loop.
+//
+// Heavy work never runs on the loop thread: in-process sessions run every
+// verb as a lazy pipeline on the shard engines, and each poll cycle pumps
+// every session without ever parking (docs/ARCHITECTURE.md, "Threading").
 //
 // Lifecycle: the constructor binds and listens (port() is valid
 // immediately; port 0 picks an ephemeral port). run() blocks until
 // request_stop() -- callable from any thread or a signal handler -- then
-// shuts down gracefully: stop accepting, settle every live session
-// (in-flight requests complete and their responses flush), close. `quit`
-// on a connection ends only that connection.
+// shuts down gracefully: stop accepting, serve what each connection has
+// already sent until every response has flushed (for at most 10 s),
+// close. `quit` on a connection ends only that connection.
 #pragma once
+
+#include <poll.h>
 
 #include <atomic>
 #include <cstdint>
@@ -33,8 +49,8 @@
 
 namespace emmark {
 
-class Conn;
-
+/// The front-door config, shared by `serve`, the workers and the
+/// supervisor.
 struct ServerConfig {
   /// Port to bind (0 = ephemeral; read the result from port()).
   uint16_t port = 0;
@@ -47,59 +63,105 @@ struct ServerConfig {
   /// the same host. A stale file at the path is unlinked before bind; the
   /// path is unlinked again on destruction.
   std::string unix_path;
-  /// Unflushed requests per connection before the server stops reading
+  /// Unflushed requests per connection before the loop stops reading
   /// from that socket (TCP backpressure instead of an unbounded queue).
   size_t max_inflight_per_conn = 64;
-  /// Poll timeout: the latency floor for flushing async completions to
-  /// idle connections.
-  int poll_interval_ms = 20;
-  /// Optional tap invoked with every complete request line before it is
-  /// handed to the session. Test hook: the shard worker uses it for
+  /// Optional tap invoked with every request line before it is handed to
+  /// the session. Test hook: the shard worker uses it for
   /// EMMARK_TEST_CRASH_ON fault injection (die deterministically when a
   /// chosen request arrives). Must not block.
   std::function<void(const std::string&)> line_tap;
 };
 
-class SocketServer {
+/// What a FrontDoor serves: the session behind each connection, plus
+/// optional per-cycle work and extra fds polled alongside the clients.
+class FrontDoorBackend {
  public:
-  /// Binds and listens immediately; throws std::runtime_error on failure
-  /// (port in use, bad address). `router` must outlive the server.
-  SocketServer(RequestRouter& router, ServerConfig config = {});
-  ~SocketServer();
+  virtual ~FrontDoorBackend() = default;
 
-  SocketServer(const SocketServer&) = delete;
-  SocketServer& operator=(const SocketServer&) = delete;
+  virtual std::unique_ptr<ProtocolSession> open_session() = 0;
+
+  /// Accepts are held while this is false (the listener stays bound).
+  virtual bool accepting() const { return true; }
+
+  /// Start of every cycle: per-cycle work, then append extra fds to poll.
+  /// `draining` is true during the graceful-shutdown drain.
+  virtual void before_poll(bool /*draining*/, std::vector<pollfd>& /*fds*/) {}
+
+  /// The extra fds with their revents, after the client event pass and
+  /// before the pump pass.
+  virtual void after_events(const pollfd* /*fds*/, size_t /*count*/) {}
+
+  /// After the pump pass: every session polled, responses queued.
+  virtual void after_pump() {}
+};
+
+class FrontDoor {
+ public:
+  /// Series the loop keeps for its owner; any may be null.
+  struct Metrics {
+    obs::Gauge* connections = nullptr;
+    obs::Counter* accepted = nullptr;
+    /// Busy time per poll cycle (everything but the poll wait).
+    obs::Histogram* poll_cycle = nullptr;
+  };
+
+  /// Binds and listens immediately; throws std::runtime_error on failure
+  /// (port in use, bad address). `backend` must outlive the loop.
+  FrontDoor(ServerConfig config, FrontDoorBackend& backend, Metrics metrics);
+  ~FrontDoor();
+
+  FrontDoor(const FrontDoor&) = delete;
+  FrontDoor& operator=(const FrontDoor&) = delete;
 
   /// The bound port (resolves port 0 to the actual ephemeral port).
   uint16_t port() const { return port_; }
 
-  /// Serves until request_stop(); returns 0 on a clean shutdown.
+  /// Serves until request_stop(), drains, closes every connection;
+  /// returns 0.
   int run();
 
-  /// Async-signal-safe stop request: run() finishes the current poll
-  /// cycle, settles every connection, and returns.
+  /// Async-signal-safe stop request.
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
-  /// Connections currently open (for tests/observability).
-  size_t connections() const { return connection_count_.load(std::memory_order_relaxed); }
-
  private:
-  void accept_new_connections();
+  struct Connection;
 
-  RequestRouter& router_;
+  void cycle(bool draining);
+  void accept_connections();
+
   ServerConfig config_;
+  FrontDoorBackend& backend_;
+  Metrics metrics_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
-  std::atomic<size_t> connection_count_{0};
-  std::vector<std::unique_ptr<Conn>> conns_;
-  /// Server-side series in the router's registry, scraped via `metrics`:
-  /// busy time per poll cycle (time spent outside ::poll, i.e. the event
-  /// and pump passes -- a growing tail here means the loop thread is doing
-  /// work that belongs on the engines), open/accepted connection counts.
-  obs::Histogram* poll_cycle_hist_ = nullptr;
-  obs::Gauge* connections_gauge_ = nullptr;
-  obs::Counter* accepted_counter_ = nullptr;
+  std::vector<std::unique_ptr<Connection>> conns_;
+  std::vector<pollfd> fds_, extra_fds_;
+};
+
+/// The in-process front door: `emmark_cli serve` and every shard worker.
+/// Each connection gets its own RequestRouter::Session, so responses are
+/// byte-identical to the stdio daemon's. Registers the emmark_server_*
+/// series in the router's registry.
+class SocketServer : private FrontDoorBackend {
+ public:
+  /// `router` must outlive the server.
+  SocketServer(RequestRouter& router, ServerConfig config = {});
+
+  uint16_t port() const { return door_.port(); }
+
+  /// Serves until request_stop(), then drains the router; returns 0.
+  int run();
+
+  void request_stop() { door_.request_stop(); }
+
+ private:
+  std::unique_ptr<ProtocolSession> open_session() override;
+  void after_pump() override;
+
+  RequestRouter& router_;
+  FrontDoor door_;
 };
 
 }  // namespace emmark

@@ -1,10 +1,7 @@
 #include "net/supervisor.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/prctl.h>
@@ -20,14 +17,10 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "model_zoo/zoo.h"
-#include "net/http.h"
 #include "obs/merge.h"
 
 namespace emmark {
@@ -36,77 +29,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-// Every supervisor fd is close-on-exec so spawned workers do not inherit
-// the front door, sibling links, or client sockets.
-void set_cloexec(int fd) {
-  const int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string error_json(const std::string& id, const std::string& cmd,
-                       const std::string& error) {
-  return "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"" + json_escape(cmd) +
-         "\",\"ok\":false,\"error\":\"" + json_escape(error) + "\"}";
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream split(line);
-  std::string token;
-  while (split >> token) tokens.push_back(token);
-  return tokens;
-}
-
-/// key=value parse with the router's strictness (router.cpp parse_params):
-/// throws std::invalid_argument on a token without '=' or with an empty
-/// key. The supervisor re-parses only for routing and HTTP validation;
-/// canonical error bytes still come from a worker.
-std::map<std::string, std::string> parse_kv(
-    const std::vector<std::string>& tokens) {
-  std::map<std::string, std::string> kv;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const auto eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("expected key=value, got: " + tokens[i]);
-    }
-    kv[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
-  }
-  return kv;
-}
-
-std::string kv_get(const std::map<std::string, std::string>& kv,
-                   const std::string& key, const std::string& def) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? def : it->second;
-}
+/// A worker that stays up this long resets its respawn backoff streak.
+constexpr int kHealthyAfterMs = 2000;
+/// A spawned worker must answer the handshake within this window or it is
+/// killed and counted as a failure.
+constexpr int kHandshakeTimeoutMs = 30000;
 
 /// First u64 after `"key":` in a shallow JSON line; 0 if absent. The
 /// stats/quit merges only need the router's own fixed-shape output, so a
@@ -135,55 +62,31 @@ std::string find_string(const std::string& s, const std::string& quoted_key) {
   return out;
 }
 
-constexpr size_t kMaxLineBytes = 1 << 20;  // same rule as net/conn.cpp
 const char* const kHandshakeId = "__sup_handshake__";
-
-bool is_engine_verb(const std::string& cmd) {
-  return cmd == "insert" || cmd == "extract" || cmd == "verify" ||
-         cmd == "trace";
-}
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 
-struct Supervisor::Impl {
+struct Supervisor::Impl : FrontDoorBackend {
+  class FleetSession;
+
   // One queued response for one client request, filled either locally
-  // (HTTP 400/404, fast-fail retryable errors) or by worker completions.
-  // Responses flush strictly in request order per client.
+  // (fast-fail retryable errors) or by worker completions. Responses flush
+  // strictly in request order per session.
   struct Slot {
     bool ready = false;
     std::string text;  // one response line / merged exposition, no '\n'
     std::string id, cmd;
-    size_t shard = 0;
-    bool is_quit = false;
-    // HTTP framing (unused in line mode). http_status 0 = derive from
-    // the response text (503 on shed/retryable, else 200).
-    bool http = false;
-    int http_status = 0;
-    std::string content_type = "application/json";
-    bool http_close = false;
     // Fan-out bookkeeping (stats/metrics/quit).
     size_t awaiting = 0;
     std::vector<std::string> parts;  // indexed by source (worker, or +1)
     uint64_t served = 0;
   };
 
-  struct ClientConn {
-    int fd = -1;
-    std::string in, out;
-    enum class Mode { kUnknown, kLine, kHttp } mode = Mode::kUnknown;
-    bool input_eof = false;
-    bool dead = false;
-    bool quitting = false;          // saw quit; later input is ignored
-    bool close_after_flush = false;
-    std::deque<std::shared_ptr<Slot>> slots;
-    HttpParser http;
-  };
-
   // One Unix-socket connection to a worker: either the per-worker
-  // control link (client == nullptr; carries the handshake) or a lazily
-  // opened per-(client, worker) proxy link. Responses on a link are
+  // control link (session == nullptr; carries the handshake) or a lazily
+  // opened per-(session, worker) proxy link. Responses on a link are
   // matched to expectations strictly FIFO -- the worker session
   // guarantees request-order responses, so no request ids are needed on
   // the wire.
@@ -195,7 +98,7 @@ struct Supervisor::Impl {
   struct Link {
     int fd = -1;
     size_t worker = 0;
-    ClientConn* client = nullptr;  // nullptr: control link
+    FleetSession* session = nullptr;  // nullptr: control link
     std::string in, out;
     std::deque<PendingRead> reads;
     std::vector<std::string> multi;  // accumulating until_eof lines
@@ -222,24 +125,112 @@ struct Supervisor::Impl {
     std::atomic<int> pub_backoff_ms{0};
   };
 
+  /// One client connection's conversation with the fleet: ring routing
+  /// over worker links, with `stats`/`metrics`/`quit` fanned out and
+  /// merged.
+  class FleetSession : public ProtocolSession {
+   public:
+    explicit FleetSession(Impl& sup) : sup_(sup) {}
+
+    ~FleetSession() override {
+      // Responses for a vanished client: discard.
+      for (auto& link : sup_.links) {
+        if (link->session == this && !link->dead) {
+          link->dead = true;
+          link->reads.clear();
+        }
+      }
+    }
+
+    bool handle_line(const std::string& line, const LineSink& emit) override {
+      route_line(line);
+      poll(emit);
+      return !quitting_;
+    }
+
+    void poll(const LineSink& emit) override {
+      while (!slots_.empty() && slots_.front()->ready) {
+        emit(slots_.front()->text);
+        slots_.pop_front();
+      }
+    }
+
+    /// Worker responses arrive through the loop, so finish cannot wait for
+    /// them; the front door calls it once nothing is in flight.
+    void finish(const LineSink& emit) override { poll(emit); }
+
+    size_t inflight() const override { return slots_.size(); }
+    bool quit_seen() const override { return quitting_; }
+
+   private:
+    void route_line(const std::string& line) {
+      const std::vector<std::string> tokens = tokenize(line);
+      if (tokens.empty() || tokens[0][0] == '#') return;  // no response
+
+      auto slot = std::make_shared<Slot>();
+      slot->cmd = tokens[0];
+      slot->id = request_id(tokens);
+      slots_.push_back(slot);
+
+      if (slot->cmd == "quit") {
+        quitting_ = true;
+        start_quit(slot);
+      } else if (slot->cmd == "metrics") {
+        sup_.start_metrics(*this, slot);
+      } else if (slot->cmd == "stats") {
+        sup_.start_stats(*this, slot, line);
+      } else {
+        // Engine verbs, unknown commands, malformed lines: one owning
+        // worker (shard 0 for anything unroutable) produces the canonical
+        // response.
+        sup_.forward_to_worker(*this, slot, sup_.route_shard(tokens), line);
+      }
+    }
+
+    void start_quit(const std::shared_ptr<Slot>& slot) {
+      for (auto& link : sup_.links) {
+        if (link->dead || link->closing || link->session != this) continue;
+        link->out += "quit\n";
+        link->closing = true;  // close once the quit response arrives
+        ++slot->awaiting;
+        link->reads.push_back(PendingRead{
+            false, [slot](std::vector<std::string>&& lines, bool ok) {
+              if (ok && !lines.empty()) {
+                slot->served += find_u64(lines[0], "served");
+              }
+              if (--slot->awaiting == 0) {
+                slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":" +
+                             std::to_string(slot->served) + "}";
+                slot->ready = true;
+              }
+            }});
+      }
+      if (slot->awaiting == 0) {
+        slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":0}";
+        slot->ready = true;
+      }
+    }
+
+    Impl& sup_;
+    std::deque<std::shared_ptr<Slot>> slots_;
+    bool quitting_ = false;  // saw quit; later input is ignored
+  };
+
   SupervisorConfig cfg;
   ShardRouter ring;
   obs::MetricsRegistry registry;
   std::vector<obs::Gauge*> up_gauges;
   std::vector<obs::Counter*> respawn_counters;
   std::vector<obs::Counter*> retryable_counters;
-  obs::Counter* accepted_counter = nullptr;
-  obs::Gauge* connections_gauge = nullptr;
 
-  int listen_fd = -1;
-  uint16_t port = 0;
-  std::atomic<bool> stop{false};
   std::string socket_dir;
   bool own_socket_dir = false;
 
   std::vector<std::unique_ptr<WorkerProc>> workers;
-  std::vector<std::unique_ptr<ClientConn>> clients;
   std::vector<std::unique_ptr<Link>> links;
+  std::vector<Link*> polled_links;  // this cycle's extra fds, in order
+  // Last member: its connections' sessions reference the links above.
+  std::unique_ptr<FrontDoor> door;
 
   explicit Impl(SupervisorConfig config)
       : cfg(std::move(config)),
@@ -261,11 +252,12 @@ struct Supervisor::Impl {
           "worker was down.",
           {{"shard", shard}}));
     }
-    accepted_counter =
+    FrontDoor::Metrics door_metrics;
+    door_metrics.accepted =
         &registry.counter("emmark_supervisor_connections_accepted_total",
                           "Front-door connections accepted since start.");
-    connections_gauge = &registry.gauge("emmark_supervisor_connections",
-                                        "Front-door connections open.");
+    door_metrics.connections = &registry.gauge(
+        "emmark_supervisor_connections", "Front-door connections open.");
 
     if (cfg.socket_dir.empty()) {
       socket_dir = (std::filesystem::temp_directory_path() /
@@ -277,7 +269,7 @@ struct Supervisor::Impl {
     }
     std::filesystem::create_directories(socket_dir);
 
-    bind_front_door();
+    door = std::make_unique<FrontDoor>(cfg, *this, door_metrics);
 
     workers.reserve(cfg.router.shards);
     for (size_t i = 0; i < cfg.router.shards; ++i) {
@@ -287,11 +279,8 @@ struct Supervisor::Impl {
     }
   }
 
-  ~Impl() {
-    if (listen_fd >= 0) ::close(listen_fd);
-    for (auto& c : clients) {
-      if (c->fd >= 0) ::close(c->fd);
-    }
+  ~Impl() override {
+    door.reset();  // closes the clients while the links still exist
     for (auto& l : links) {
       if (l->fd >= 0) ::close(l->fd);
     }
@@ -308,34 +297,67 @@ struct Supervisor::Impl {
     }
   }
 
-  void bind_front_door() {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) {
-      throw std::runtime_error("socket(): " + std::string(strerror(errno)));
+  // ---- the front door's per-cycle hooks ----------------------------------
+
+  std::unique_ptr<ProtocolSession> open_session() override {
+    return std::make_unique<FleetSession>(*this);
+  }
+
+  bool accepting() const override {
+    // Hold the front door until every worker's first spawn has resolved
+    // (ready, or failed into backoff): a client connecting during the
+    // startup race would see spurious retryable errors.
+    for (const auto& w : workers) {
+      if (!w->ever_resolved) return false;
     }
-    set_cloexec(listen_fd);
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(cfg.port);
-    if (::inet_pton(AF_INET, cfg.bind_addr.c_str(), &addr.sin_addr) != 1) {
-      throw std::runtime_error("bad bind address: " + cfg.bind_addr);
+    return true;
+  }
+
+  void before_poll(bool draining, std::vector<pollfd>& fds) override {
+    // No respawns while draining: a worker dying now just fails its
+    // remaining requests retryable.
+    reap_workers();
+    advance_worker_states(/*allow_spawn=*/!draining);
+    polled_links.clear();
+    for (auto& l : links) {
+      if (l->dead) continue;
+      short events = POLLIN;
+      if (!l->out.empty()) events |= POLLOUT;
+      fds.push_back({l->fd, events, 0});
+      polled_links.push_back(l.get());
     }
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-            0 ||
-        ::listen(listen_fd, SOMAXCONN) < 0) {
-      throw std::runtime_error("bind/listen on " + cfg.bind_addr + ":" +
-                               std::to_string(cfg.port) + ": " +
-                               std::string(strerror(errno)));
+  }
+
+  void after_events(const pollfd* fds, size_t count) override {
+    for (size_t i = 0; i < count; ++i) {
+      Link& l = *polled_links[i];
+      const short revents = fds[i].revents;
+      if (l.dead) continue;
+      if ((revents & (POLLIN | POLLHUP | POLLERR)) && !read_link(l)) {
+        fail_link(l);
+      } else if ((revents & POLLOUT) && !flush_link(l)) {
+        fail_link(l);
+      }
     }
-    set_nonblocking(listen_fd);
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
-        0) {
-      port = ntohs(bound.sin_port);
-    }
+    // Opportunistic link writes (freshly enqueued requests should not
+    // wait a poll interval), then drop finished links.
+    flush_links();
+    links.erase(std::remove_if(links.begin(), links.end(),
+                               [](const std::unique_ptr<Link>& l) {
+                                 if (l->dead ||
+                                     (l->closing && l->reads.empty())) {
+                                   if (l->fd >= 0) ::close(l->fd);
+                                   return true;
+                                 }
+                                 return false;
+                               }),
+                links.end());
+  }
+
+  void after_pump() override {
+    // Requests enqueued by the pump pass go on the wire now instead of
+    // waiting out a poll interval.
+    flush_links();
   }
 
   // ---- worker lifecycle ----------------------------------------------------
@@ -399,12 +421,12 @@ struct Supervisor::Impl {
     w.pub_pid.store(pid, std::memory_order_relaxed);
     w.spawned_at = Clock::now();
     w.handshake_deadline =
-        w.spawned_at + std::chrono::milliseconds(cfg.handshake_timeout_ms);
+        w.spawned_at + std::chrono::milliseconds(kHandshakeTimeoutMs);
     w.state = WorkerProc::State::kConnecting;
   }
 
-  Link* open_link(size_t worker_index, ClientConn* client) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  Link* open_link(size_t worker_index, FleetSession* session) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) return nullptr;
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -421,12 +443,12 @@ struct Supervisor::Impl {
       ::close(fd);
       return nullptr;
     }
-    set_nonblocking(fd);
-    set_cloexec(fd);
+    const int flags = ::fcntl(fd, F_GETFL, 0);
+    if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     auto link = std::make_unique<Link>();
     link->fd = fd;
     link->worker = worker_index;
-    link->client = client;
+    link->session = session;
     links.push_back(std::move(link));
     return links.back().get();
   }
@@ -477,12 +499,14 @@ struct Supervisor::Impl {
     const bool was_healthy =
         w.state == WorkerProc::State::kReady &&
         Clock::now() - w.spawned_at >=
-            std::chrono::milliseconds(cfg.healthy_after_ms);
+            std::chrono::milliseconds(kHealthyAfterMs);
     w.pid = -1;
     w.pub_pid.store(-1, std::memory_order_relaxed);
     w.pub_ready.store(false, std::memory_order_relaxed);
     up_gauges[w.index]->set(0);
-    fail_links_for_worker(w.index);
+    for (auto& link : links) {
+      if (link->worker == w.index) fail_link(*link);
+    }
     if (!w.socket_path.empty()) ::unlink(w.socket_path.c_str());
     schedule_respawn(w, was_healthy);
   }
@@ -495,16 +519,6 @@ struct Supervisor::Impl {
       ::waitpid(w.pid, nullptr, 0);  // prompt: SIGKILL cannot be blocked
     }
     worker_down(w);
-  }
-
-  void fail_links_for_worker(size_t index) {
-    for (auto& link : links) {
-      if (link->worker != index || link->dead) continue;
-      link->dead = true;
-      auto reads = std::move(link->reads);
-      link->reads.clear();
-      for (auto& pr : reads) pr.done({}, false);
-    }
   }
 
   void reap_workers() {
@@ -562,69 +576,115 @@ struct Supervisor::Impl {
     }
   }
 
-  bool accepting() const {
-    // Hold the front door until every worker's first spawn has resolved
-    // (ready, or failed into backoff): a client connecting during the
-    // startup race would see spurious retryable errors.
-    for (const auto& w : workers) {
-      if (!w->ever_resolved) return false;
-    }
-    return true;
-  }
-
   // ---- routing -------------------------------------------------------------
 
   std::string retryable_error(const std::string& id, const std::string& cmd,
                               size_t shard) {
     retryable_counters[shard]->inc();
-    return "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"" +
-           json_escape(cmd) + "\",\"ok\":false,\"error\":\"shard " +
-           std::to_string(shard) +
-           " worker unavailable (respawning); retry later\","
-           "\"retryable\":true}";
+    return error_line(id, cmd,
+                      "shard " + std::to_string(shard) +
+                          " worker unavailable (respawning); retry later",
+                      "retryable");
   }
 
-  /// Home shard for a request line, replicating the session's spec
-  /// resolution (router.cpp spec_for). Anything unparseable routes to
-  /// shard 0, whose worker then produces the canonical error bytes.
+  /// Home shard for a request line, by the session's own spec resolution
+  /// (check_request). Anything unparseable routes to shard 0, whose
+  /// worker then produces the canonical error bytes.
   size_t route_shard(const std::vector<std::string>& tokens) {
-    if (tokens.empty() || !is_engine_verb(tokens[0])) return 0;
     try {
-      const auto kv = parse_kv(tokens);
-      ModelSpec spec;
-      spec.model = kv_get(kv, "model", "opt-125m-sim");
-      spec.method = parse_quant_spec(kv_get(kv, "quant", "int4"),
-                                     zoo_entry(spec.model).family);
-      spec.train_steps_cap = cfg.router.train_steps_cap;
-      return ring.shard_for(spec.key());
+      const RequestCheck check =
+          check_request(tokens, cfg.router.train_steps_cap);
+      return check.spec ? ring.shard_for(check.spec->key()) : 0;
     } catch (const std::exception&) {
       return 0;
     }
   }
 
-  Link* link_for(ClientConn& c, size_t worker_index) {
+  Link* link_for(FleetSession& session, size_t worker_index) {
     for (auto& link : links) {
-      if (!link->dead && !link->closing && link->client == &c &&
+      if (!link->dead && !link->closing && link->session == &session &&
           link->worker == worker_index) {
         return link.get();
       }
     }
-    return open_link(worker_index, &c);
+    return open_link(worker_index, &session);
   }
 
-  std::string own_exposition() {
-    obs::Exposition out;
-    registry.expose(out);
-    return out.text();
+  void forward_to_worker(FleetSession& session, const std::shared_ptr<Slot>& slot,
+                         size_t shard, const std::string& line) {
+    WorkerProc& w = *workers[shard];
+    Link* link = (w.state == WorkerProc::State::kReady)
+                     ? link_for(session, shard)
+                     : nullptr;
+    if (link == nullptr) {
+      slot->text = retryable_error(slot->id, slot->cmd, shard);
+      slot->ready = true;
+      return;
+    }
+    link->out += line;
+    link->out += '\n';
+    link->reads.push_back(PendingRead{
+        false, [this, slot, shard](std::vector<std::string>&& lines, bool ok) {
+          slot->text = ok && !lines.empty()
+                           ? lines[0]
+                           : retryable_error(slot->id, slot->cmd, shard);
+          slot->ready = true;
+        }});
   }
 
-  void finalize_metrics(const std::shared_ptr<Slot>& slot) {
-    slot->text = obs::merge_expositions(slot->parts) + "# EOF";
-    slot->http_status = slot->http ? 200 : 0;
-    slot->ready = true;
+  void start_metrics(FleetSession& session, const std::shared_ptr<Slot>& slot) {
+    // parts[0] = the supervisor's own series; parts[1+i] = worker i.
+    slot->parts.assign(workers.size() + 1, "");
+    obs::Exposition own;
+    registry.expose(own);
+    slot->parts[0] = own.text();
+    for (size_t i = 0; i < workers.size(); ++i) {
+      if (workers[i]->state != WorkerProc::State::kReady) continue;
+      Link* link = link_for(session, i);
+      if (link == nullptr) continue;
+      link->out += "metrics\n";
+      ++slot->awaiting;
+      link->reads.push_back(PendingRead{
+          true, [slot, i](std::vector<std::string>&& lines, bool ok) {
+            if (ok) {
+              std::string part;
+              for (const auto& l : lines) {
+                part += l;
+                part += '\n';
+              }
+              slot->parts[1 + i] = std::move(part);
+            }
+            if (--slot->awaiting == 0) finalize_metrics(*slot);
+          }});
+    }
+    if (slot->awaiting == 0) finalize_metrics(*slot);
   }
 
-  void finalize_stats(const std::shared_ptr<Slot>& slot) {
+  static void finalize_metrics(Slot& slot) {
+    slot.text = obs::merge_expositions(slot.parts) + "# EOF";
+    slot.ready = true;
+  }
+
+  void start_stats(FleetSession& session, const std::shared_ptr<Slot>& slot,
+                   const std::string& line) {
+    slot->parts.assign(workers.size(), "");
+    for (size_t i = 0; i < workers.size(); ++i) {
+      if (workers[i]->state != WorkerProc::State::kReady) continue;
+      Link* link = link_for(session, i);
+      if (link == nullptr) continue;
+      link->out += line;
+      link->out += '\n';
+      ++slot->awaiting;
+      link->reads.push_back(PendingRead{
+          false, [slot, i](std::vector<std::string>&& lines, bool ok) {
+            if (ok && !lines.empty()) slot->parts[i] = std::move(lines[0]);
+            if (--slot->awaiting == 0) finalize_stats(*slot);
+          }});
+    }
+    if (slot->awaiting == 0) finalize_stats(*slot);
+  }
+
+  static void finalize_stats(Slot& slot) {
     // Reassemble the single-process `stats` shape (router.cpp) from the
     // per-worker single-shard snapshots: top-level store/engine sums, and
     // the shards array concatenated with each worker's lone shard entry
@@ -635,8 +695,8 @@ struct Supervisor::Impl {
     std::string id;
     std::string shards_json;
     size_t present = 0;
-    for (size_t i = 0; i < slot->parts.size(); ++i) {
-      const std::string& part = slot->parts[i];
+    for (size_t i = 0; i < slot.parts.size(); ++i) {
+      const std::string& part = slot.parts[i];
       if (part.empty()) continue;
       ++present;
       if (id.empty()) id = find_string(part, "id");
@@ -667,14 +727,14 @@ struct Supervisor::Impl {
       if (!shards_json.empty()) shards_json += ",";
       shards_json += inner;
     }
+    slot.ready = true;
     if (present == 0) {
-      slot->text = error_json(slot->id, "stats",
-                              "no shard workers available; retry later");
-      slot->text.insert(slot->text.size() - 1, ",\"retryable\":true");
-      slot->ready = true;
+      slot.text = error_line(slot.id, "stats",
+                             "no shard workers available; retry later",
+                             "retryable");
       return;
     }
-    slot->text =
+    slot.text =
         "{\"id\":\"" + json_escape(id) + "\",\"cmd\":\"stats\",\"ok\":true," +
         "\"store\":{\"hits\":" + std::to_string(hits) +
         ",\"misses\":" + std::to_string(misses) +
@@ -688,377 +748,6 @@ struct Supervisor::Impl {
         ",\"failed\":" + std::to_string(failed) +
         ",\"pending\":" + std::to_string(pending) + "}," +
         "\"shards\":[" + shards_json + "]}";
-    slot->ready = true;
-  }
-
-  void route_line(ClientConn& c, const std::string& line) {
-    const auto tokens = tokenize(line);
-    if (tokens.empty() || tokens[0][0] == '#') return;  // no response
-    const std::string& cmd = tokens[0];
-
-    auto slot = std::make_shared<Slot>();
-    slot->cmd = cmd;
-    for (const auto& t : tokens) {
-      if (t.rfind("id=", 0) == 0) slot->id = t.substr(3);
-    }
-    c.slots.push_back(slot);
-
-    if (cmd == "quit") {
-      c.quitting = true;
-      slot->is_quit = true;
-      for (auto& link : links) {
-        if (link->dead || link->closing || link->client != &c) continue;
-        link->out += "quit\n";
-        link->closing = true;  // close once the quit response arrives
-        ++slot->awaiting;
-        link->reads.push_back(PendingRead{
-            false, [slot](std::vector<std::string>&& lines, bool ok) {
-              if (ok && !lines.empty()) {
-                slot->served += find_u64(lines[0], "served");
-              }
-              if (--slot->awaiting == 0) {
-                slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":" +
-                             std::to_string(slot->served) + "}";
-                slot->ready = true;
-              }
-            }});
-      }
-      if (slot->awaiting == 0) {
-        slot->text = "{\"cmd\":\"quit\",\"ok\":true,\"served\":0}";
-        slot->ready = true;
-      }
-      return;
-    }
-
-    if (cmd == "metrics") {
-      start_metrics(c, slot);
-      return;
-    }
-
-    if (cmd == "stats") {
-      start_stats(c, slot, line);
-      return;
-    }
-
-    // Engine verbs, unknown commands, malformed lines: one owning worker
-    // (shard 0 for anything unroutable) produces the canonical response.
-    const size_t shard = route_shard(tokens);
-    slot->shard = shard;
-    forward_to_worker(c, slot, shard, line);
-  }
-
-  void forward_to_worker(ClientConn& c, const std::shared_ptr<Slot>& slot,
-                         size_t shard, const std::string& line) {
-    WorkerProc& w = *workers[shard];
-    Link* link = (w.state == WorkerProc::State::kReady)
-                     ? link_for(c, shard)
-                     : nullptr;
-    if (link == nullptr) {
-      slot->text = retryable_error(slot->id, slot->cmd, shard);
-      slot->ready = true;
-      return;
-    }
-    link->out += line;
-    link->out += '\n';
-    link->reads.push_back(PendingRead{
-        false, [this, slot, shard](std::vector<std::string>&& lines, bool ok) {
-          slot->text = ok && !lines.empty()
-                           ? lines[0]
-                           : retryable_error(slot->id, slot->cmd, shard);
-          slot->ready = true;
-        }});
-  }
-
-  void start_metrics(ClientConn& c, const std::shared_ptr<Slot>& slot) {
-    // parts[0] = the supervisor's own series; parts[1+i] = worker i.
-    slot->parts.assign(workers.size() + 1, "");
-    slot->parts[0] = own_exposition();
-    for (size_t i = 0; i < workers.size(); ++i) {
-      if (workers[i]->state != WorkerProc::State::kReady) continue;
-      Link* link = link_for(c, i);
-      if (link == nullptr) continue;
-      link->out += "metrics\n";
-      ++slot->awaiting;
-      link->reads.push_back(PendingRead{
-          true, [this, slot, i](std::vector<std::string>&& lines, bool ok) {
-            if (ok) {
-              std::string part;
-              for (const auto& l : lines) {
-                part += l;
-                part += '\n';
-              }
-              slot->parts[1 + i] = std::move(part);
-            }
-            if (--slot->awaiting == 0) finalize_metrics(slot);
-          }});
-    }
-    if (slot->awaiting == 0) finalize_metrics(slot);
-  }
-
-  void start_stats(ClientConn& c, const std::shared_ptr<Slot>& slot,
-                   const std::string& line) {
-    slot->parts.assign(workers.size(), "");
-    for (size_t i = 0; i < workers.size(); ++i) {
-      if (workers[i]->state != WorkerProc::State::kReady) continue;
-      Link* link = link_for(c, i);
-      if (link == nullptr) continue;
-      link->out += line;
-      link->out += '\n';
-      ++slot->awaiting;
-      link->reads.push_back(PendingRead{
-          false, [this, slot, i](std::vector<std::string>&& lines, bool ok) {
-            if (ok && !lines.empty()) slot->parts[i] = std::move(lines[0]);
-            if (--slot->awaiting == 0) finalize_stats(slot);
-          }});
-    }
-    if (slot->awaiting == 0) finalize_stats(slot);
-  }
-
-  // ---- HTTP ----------------------------------------------------------------
-
-  void local_http_slot(ClientConn& c, int status, const std::string& body,
-                       bool close_conn) {
-    auto slot = std::make_shared<Slot>();
-    slot->http = true;
-    slot->http_status = status;
-    slot->text = body;
-    slot->http_close = close_conn;
-    slot->ready = true;
-    c.slots.push_back(slot);
-  }
-
-  /// docs/PROTOCOL.md §8: required-parameter table, enforced before
-  /// forwarding so a missing parameter maps to 400 (the worker would
-  /// report it as a runtime ok:false line, which must stay 200).
-  static const char* missing_required(const std::string& verb,
-                                      const std::map<std::string, std::string>& kv) {
-    auto need = [&kv](const char* key) -> const char* {
-      return kv.count(key) ? nullptr : key;
-    };
-    if (verb == "extract") {
-      if (const char* k = need("codes")) return k;
-      if (const char* k = need("record")) return k;
-    } else if (verb == "verify") {
-      if (const char* k = need("codes")) return k;
-      if (const char* k = need("evidence")) return k;
-    } else if (verb == "trace") {
-      if (const char* k = need("codes")) return k;
-      if (const char* k = need("set")) return k;
-    }
-    return nullptr;
-  }
-
-  void handle_http_request(ClientConn& c, const HttpRequest& req) {
-    if (req.method == "GET" && req.target == "/metrics") {
-      auto slot = std::make_shared<Slot>();
-      slot->http = true;
-      slot->cmd = "metrics";
-      slot->content_type = "text/plain; version=0.0.4; charset=utf-8";
-      slot->http_close = req.close;
-      c.slots.push_back(slot);
-      start_metrics(c, slot);
-      return;
-    }
-
-    if (req.method == "POST" && req.target.rfind("/v1/", 0) == 0) {
-      const std::string verb = req.target.substr(4);
-      if (!is_engine_verb(verb) && verb != "stats") {
-        local_http_slot(c, 404,
-                        error_json("", verb, "unknown verb: " + verb +
-                                                 " (known: insert extract "
-                                                 "verify trace stats)"),
-                        req.close);
-        return;
-      }
-      if (req.body.find('\n') != std::string::npos ||
-          req.body.find('\r') != std::string::npos) {
-        local_http_slot(c, 400,
-                        error_json("", verb, "body must be a single line of "
-                                             "key=value parameters"),
-                        req.close);
-        return;
-      }
-      std::string line = verb;
-      if (!req.body.empty()) line += " " + req.body;
-      const auto tokens = tokenize(line);
-      std::string id;
-      for (const auto& t : tokens) {
-        if (t.rfind("id=", 0) == 0) id = t.substr(3);
-      }
-      // Parse errors map to 400 here instead of being forwarded: HTTP
-      // callers get status-code semantics, line callers get the worker's
-      // canonical error line.
-      try {
-        const auto kv = parse_kv(tokens);
-        if (is_engine_verb(verb)) {
-          ModelSpec spec;
-          spec.model = kv_get(kv, "model", "opt-125m-sim");
-          spec.method = parse_quant_spec(kv_get(kv, "quant", "int4"),
-                                         zoo_entry(spec.model).family);
-          if (const char* key = missing_required(verb, kv)) {
-            local_http_slot(
-                c, 400,
-                error_json(id, verb, "missing parameter: " + std::string(key)),
-                req.close);
-            return;
-          }
-        }
-      } catch (const std::exception& e) {
-        local_http_slot(c, 400, error_json(id, verb, e.what()), req.close);
-        return;
-      }
-
-      auto slot = std::make_shared<Slot>();
-      slot->http = true;
-      slot->http_close = req.close;
-      slot->cmd = verb;
-      slot->id = id;
-      c.slots.push_back(slot);
-      if (verb == "stats") {
-        start_stats(c, slot, line);
-      } else {
-        const size_t shard = route_shard(tokens);
-        slot->shard = shard;
-        forward_to_worker(c, slot, shard, line);
-      }
-      return;
-    }
-
-    local_http_slot(
-        c, 404,
-        error_json("", "", "not found: " + req.method + " " + req.target),
-        req.close);
-  }
-
-  // ---- client IO -----------------------------------------------------------
-
-  void process_client_input(ClientConn& c) {
-    if (c.mode == ClientConn::Mode::kUnknown) {
-      switch (sniff_transport(c.in)) {
-        case TransportSniff::kUndecided:
-          if (c.input_eof) c.mode = ClientConn::Mode::kLine;  // short EOF
-          else return;
-          break;
-        case TransportSniff::kHttp:
-          c.mode = ClientConn::Mode::kHttp;
-          break;
-        case TransportSniff::kLine:
-          c.mode = ClientConn::Mode::kLine;
-          break;
-      }
-    }
-
-    if (c.mode == ClientConn::Mode::kLine) {
-      while (!c.quitting && c.slots.size() < cfg.max_inflight_per_conn) {
-        const size_t nl = c.in.find('\n');
-        std::string line;
-        if (nl == std::string::npos) {
-          if (!c.input_eof || c.in.empty()) break;
-          line = std::move(c.in);  // unterminated trailing line at EOF
-          c.in.clear();
-        } else {
-          line = c.in.substr(0, nl);
-          c.in.erase(0, nl + 1);
-        }
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        route_line(c, line);
-      }
-      if (c.quitting) c.in.clear();
-      return;
-    }
-
-    while (!c.close_after_flush && c.slots.size() < cfg.max_inflight_per_conn) {
-      HttpRequest req;
-      std::string error;
-      const auto status = c.http.parse(c.in, req, &error);
-      if (status == HttpParser::Status::kNeedMore) break;
-      if (status == HttpParser::Status::kError) {
-        local_http_slot(c, 400, error_json("", "", error), /*close=*/true);
-        c.input_eof = true;  // stop reading a stream we cannot frame
-        break;
-      }
-      handle_http_request(c, req);
-    }
-  }
-
-  bool read_client(ClientConn& c) {
-    char chunk[4096];
-    for (;;) {
-      const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), 0);
-      if (n > 0) {
-        c.in.append(chunk, static_cast<size_t>(n));
-        if (c.mode != ClientConn::Mode::kHttp &&
-            c.in.size() > kMaxLineBytes &&
-            c.in.find('\n') == std::string::npos) {
-          return false;  // oversized line: drop, as net/conn.cpp does
-        }
-        if (c.slots.size() >= cfg.max_inflight_per_conn) break;
-        continue;
-      }
-      if (n == 0) {
-        c.input_eof = true;
-        break;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-    process_client_input(c);
-    return true;
-  }
-
-  bool flush_client(ClientConn& c) {
-    while (!c.out.empty()) {
-      const ssize_t n = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        c.out.erase(0, static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    return true;
-  }
-
-  void pump_client(ClientConn& c) {
-    while (!c.slots.empty() && c.slots.front()->ready) {
-      const auto slot = c.slots.front();
-      c.slots.pop_front();
-      if (c.mode == ClientConn::Mode::kHttp) {
-        int status = slot->http_status;
-        if (status == 0) {
-          const bool unavailable =
-              slot->text.find("\"shed\":true") != std::string::npos ||
-              slot->text.find("\"retryable\":true") != std::string::npos;
-          status = unavailable ? 503 : 200;
-        }
-        c.out += http_response(status, slot->content_type, slot->text + "\n",
-                               /*keep_alive=*/!slot->http_close);
-        if (slot->http_close) c.close_after_flush = true;
-      } else {
-        c.out += slot->text;
-        c.out += '\n';
-        if (slot->is_quit) c.close_after_flush = true;
-      }
-    }
-    // A flush may have freed in-flight slots for buffered input.
-    if (!c.in.empty() || c.input_eof) process_client_input(c);
-  }
-
-  void drop_client(ClientConn* c) {
-    for (auto& link : links) {
-      if (link->client == c && !link->dead) {
-        link->dead = true;
-        link->reads.clear();  // responses for a vanished client: discard
-      }
-    }
-    if (c->fd >= 0) ::close(c->fd);
-  }
-
-  bool client_finished(const ClientConn& c) {
-    if (c.close_after_flush && c.out.empty()) return true;
-    return c.input_eof && c.in.empty() && c.slots.empty() && c.out.empty();
   }
 
   // ---- link IO -------------------------------------------------------------
@@ -1123,6 +812,12 @@ struct Supervisor::Impl {
     return true;
   }
 
+  void flush_links() {
+    for (auto& l : links) {
+      if (!l->dead && !l->out.empty() && !flush_link(*l)) fail_link(*l);
+    }
+  }
+
   void fail_link(Link& link) {
     if (link.dead) return;
     link.dead = true;
@@ -1131,156 +826,12 @@ struct Supervisor::Impl {
     for (auto& pr : reads) pr.done({}, false);
   }
 
-  // ---- main loop -----------------------------------------------------------
-
-  void accept_clients() {
-    for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      set_nonblocking(fd);
-      set_cloexec(fd);
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      auto client = std::make_unique<ClientConn>();
-      client->fd = fd;
-      clients.push_back(std::move(client));
-      accepted_counter->inc();
-    }
-    connections_gauge->set(static_cast<int64_t>(clients.size()));
-  }
-
-  void one_cycle(bool allow_accept, bool allow_spawn) {
-    reap_workers();
-    advance_worker_states(allow_spawn);
-
-    struct Ref {
-      enum class Kind { kListen, kClient, kLink } kind;
-      void* ptr;
-    };
-    std::vector<struct pollfd> fds;
-    std::vector<Ref> refs;
-    if (allow_accept && accepting()) {
-      fds.push_back({listen_fd, POLLIN, 0});
-      refs.push_back({Ref::Kind::kListen, nullptr});
-    }
-    for (auto& c : clients) {
-      short events = 0;
-      if (!c->input_eof && !c->quitting &&
-          c->slots.size() < cfg.max_inflight_per_conn) {
-        events |= POLLIN;
-      }
-      if (!c->out.empty()) events |= POLLOUT;
-      fds.push_back({c->fd, events, 0});
-      refs.push_back({Ref::Kind::kClient, c.get()});
-    }
-    for (auto& l : links) {
-      if (l->dead) continue;
-      short events = POLLIN;
-      if (!l->out.empty()) events |= POLLOUT;
-      fds.push_back({l->fd, events, 0});
-      refs.push_back({Ref::Kind::kLink, l.get()});
-    }
-
-    const int rc =
-        ::poll(fds.data(), fds.size(), cfg.poll_interval_ms);
-    if (rc < 0 && errno != EINTR) return;
-
-    for (size_t i = 0; i < fds.size(); ++i) {
-      const short revents = fds[i].revents;
-      if (revents == 0) continue;
-      switch (refs[i].kind) {
-        case Ref::Kind::kListen:
-          if (revents & POLLIN) accept_clients();
-          break;
-        case Ref::Kind::kClient: {
-          auto* c = static_cast<ClientConn*>(refs[i].ptr);
-          if ((revents & (POLLIN | POLLHUP | POLLERR)) && !read_client(*c)) {
-            c->dead = true;
-          } else if ((revents & POLLOUT) && !flush_client(*c)) {
-            c->dead = true;
-          }
-          break;
-        }
-        case Ref::Kind::kLink: {
-          auto* l = static_cast<Link*>(refs[i].ptr);
-          if ((revents & (POLLIN | POLLHUP | POLLERR)) && !read_link(*l)) {
-            fail_link(*l);
-          } else if ((revents & POLLOUT) && !flush_link(*l)) {
-            fail_link(*l);
-          }
-          break;
-        }
-      }
-    }
-
-    // Opportunistic link writes (freshly enqueued requests should not
-    // wait a poll interval), then drain finished links.
-    for (auto& l : links) {
-      if (!l->dead && !l->out.empty() && !flush_link(*l)) fail_link(*l);
-    }
-    links.erase(std::remove_if(links.begin(), links.end(),
-                               [](const std::unique_ptr<Link>& l) {
-                                 if (l->dead ||
-                                     (l->closing && l->reads.empty())) {
-                                   if (l->fd >= 0) ::close(l->fd);
-                                   return true;
-                                 }
-                                 return false;
-                               }),
-                links.end());
-
-    // Flush ready responses and sweep finished/dead clients.
-    for (auto& c : clients) {
-      if (c->dead) continue;
-      pump_client(*c);
-      if (!c->out.empty() && !flush_client(*c)) c->dead = true;
-    }
-    clients.erase(
-        std::remove_if(clients.begin(), clients.end(),
-                       [this](const std::unique_ptr<ClientConn>& c) {
-                         if (c->dead || client_finished(*c)) {
-                           drop_client(c.get());
-                           return true;
-                         }
-                         return false;
-                       }),
-        clients.end());
-    connections_gauge->set(static_cast<int64_t>(clients.size()));
-
-    // Requests enqueued by the pump pass (links opened or written above)
-    // go on the wire now instead of waiting out a poll interval.
-    for (auto& l : links) {
-      if (!l->dead && !l->out.empty() && !flush_link(*l)) fail_link(*l);
-    }
-  }
+  // ---- shutdown ------------------------------------------------------------
 
   int run() {
-    while (!stop.load(std::memory_order_relaxed)) {
-      one_cycle(/*allow_accept=*/true, /*allow_spawn=*/true);
-    }
+    door->run();
 
-    // Graceful shutdown: close the door, drain live clients within the
-    // grace budget (no respawns -- a worker dying now just fails its
-    // remaining requests retryable), then terminate workers.
-    ::close(listen_fd);
-    listen_fd = -1;
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(cfg.shutdown_grace_ms);
-    auto draining = [this] {
-      for (const auto& c : clients) {
-        if (!c->slots.empty() || !c->out.empty()) return true;
-      }
-      return false;
-    };
-    while (draining() && Clock::now() < deadline) {
-      one_cycle(/*allow_accept=*/false, /*allow_spawn=*/false);
-    }
-    for (auto& c : clients) drop_client(c.get());
-    clients.clear();
-
+    // The clients are drained and closed: terminate the workers.
     for (auto& w : workers) {
       if (w->pid > 0) ::kill(w->pid, SIGTERM);
     }
@@ -1324,13 +875,11 @@ Supervisor::Supervisor(SupervisorConfig config)
 
 Supervisor::~Supervisor() = default;
 
-uint16_t Supervisor::port() const { return impl_->port; }
+uint16_t Supervisor::port() const { return impl_->door->port(); }
 
 int Supervisor::run() { return impl_->run(); }
 
-void Supervisor::request_stop() {
-  impl_->stop.store(true, std::memory_order_relaxed);
-}
+void Supervisor::request_stop() { impl_->door->request_stop(); }
 
 size_t Supervisor::workers() const { return impl_->workers.size(); }
 

@@ -1,14 +1,15 @@
-// Supervisor: the process-shard front door.
+// Supervisor: the process-shard fleet behind the front door.
 //
 // `emmark_cli serve --process-shards` runs one of these in the parent
 // process. It spawns one shard-worker process per shard (src/cli/worker.h
 // -- the unchanged router/engine/store stack behind a Unix-domain
-// socket), owns the consistent-hash ring, and proxies the docs/PROTOCOL.md
-// line protocol between TCP clients and the owning worker. The same
-// listening port also speaks minimal HTTP/1.1 (sniffed from the first
-// bytes of a connection): `GET /metrics` returns the fleet-merged
-// Prometheus exposition, `POST /v1/<verb>` carries one request line
-// (docs/PROTOCOL.md §8).
+// socket), owns the consistent-hash ring, and serves clients through the
+// shared front-door loop (src/net/server.h) with a fleet session: each
+// request line is proxied to the owning worker over a per-(connection,
+// worker) link, and `stats`, `metrics` and `quit` fan out to every live
+// worker and merge. HTTP on the same port comes from the front door, as
+// for in-process `serve` (docs/PROTOCOL.md §8); `GET /metrics` returns the
+// fleet-merged Prometheus exposition.
 //
 // Fault model: a worker dying (crash, OOM kill, SIGKILL) is detected via
 // waitpid(WNOHANG) each poll cycle plus EOF on its links. Every request
@@ -19,10 +20,12 @@
 // stays healthy). Fan-out verbs (`stats`, `metrics`, `quit`) degrade to
 // the live subset of workers.
 //
-// Threading: the supervisor itself is a single poll loop, same shape as
-// SocketServer -- run() blocks until request_stop() (callable from any
-// thread or a signal handler). The test accessors read atomics published
-// by the loop, so harnesses can watch pids/respawns/backoff from outside.
+// Threading: everything runs on the front door's loop thread -- run()
+// blocks until request_stop() (callable from any thread or a signal
+// handler). The worker links are extra fds on that loop, and reaping,
+// respawning and link flushes are its per-cycle work. The test accessors
+// read atomics published by the loop, so harnesses can watch
+// pids/respawns/backoff from outside.
 #pragma once
 
 #include <atomic>
@@ -32,18 +35,13 @@
 #include <sys/types.h>
 
 #include "cli/router.h"
+#include "net/server.h"
 
 namespace emmark {
 
-struct SupervisorConfig {
-  /// TCP front door (0 = ephemeral; read the result from port()).
-  uint16_t port = 0;
-  std::string bind_addr = "127.0.0.1";
-  /// Unflushed requests per client connection before reads pause (same
-  /// backpressure rule as ServerConfig::max_inflight_per_conn).
-  size_t max_inflight_per_conn = 64;
-  int poll_interval_ms = 20;
-
+/// The client-facing front door (its in-flight bound is also forwarded to
+/// every worker), plus the fleet.
+struct SupervisorConfig : ServerConfig {
   /// Binary to exec for workers. Empty = /proc/self/exe (the normal
   /// case: workers are `emmark_cli shard-worker`). Tests point it at the
   /// built emmark_cli explicitly.
@@ -54,16 +52,10 @@ struct SupervisorConfig {
 
   /// Respawn backoff: first respawn after `respawn_backoff_ms`, doubling
   /// per consecutive failure up to `respawn_backoff_max_ms`. A worker
-  /// that stays up longer than `healthy_after_ms` resets the streak.
+  /// that stays up longer than 2 s resets the streak; one that does not
+  /// answer the handshake within 30 s is killed and counts as a failure.
   int respawn_backoff_ms = 200;
   int respawn_backoff_max_ms = 5000;
-  int healthy_after_ms = 2000;
-  /// A spawned worker must accept the handshake within this window or it
-  /// is killed and counted as a failure.
-  int handshake_timeout_ms = 30000;
-  /// Graceful-shutdown budget: drain clients, SIGTERM workers, then
-  /// SIGKILL whatever remains.
-  int shutdown_grace_ms = 10000;
 
   /// Backend config forwarded to every worker (each runs it with
   /// shards=1). `router.shards` is the worker count and sizes the ring,
@@ -75,7 +67,8 @@ class Supervisor {
  public:
   /// Binds the front door and spawns the first generation of workers;
   /// throws std::runtime_error on bind failure. Handshakes complete
-  /// inside run().
+  /// inside run(); accepts are held until every worker's first spawn
+  /// resolved (ready, or failed into backoff).
   explicit Supervisor(SupervisorConfig config);
   ~Supervisor();
 
@@ -84,7 +77,8 @@ class Supervisor {
 
   uint16_t port() const;
 
-  /// Serves until request_stop(); returns 0 on a clean shutdown.
+  /// Serves until request_stop(), drains clients, then terminates the
+  /// workers; returns 0 on a clean shutdown.
   int run();
 
   /// Async-signal-safe stop request.

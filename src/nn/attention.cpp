@@ -82,13 +82,13 @@ void MultiHeadAttention::forward(const Tensor& x, int64_t batch, int64_t seq,
           float* p_row = probs_.data() + (bh * seq + t1) * seq;
           // causal scores for t2 <= t1: p_row[t2] = <q, k_t2>, then * scale
           ops.gemm_panel_f32(p_row, k_panel.data(), seq, q_row, 1, head_dim_,
-                             t1 + 1, 0);
+                             t1 + 1);
           for (int64_t t2 = 0; t2 <= t1; ++t2) p_row[t2] *= scale;
           softmax_inplace({p_row, static_cast<size_t>(t1 + 1)});
           // masked region stays zero (Tensor() zero-initializes)
           float* c_row = ctx_.data() + (b * seq + t1) * d_model_ + h * head_dim_;
           ops.gemm_panel_f32(c_row, v_panel.data(), head_dim_, p_row, 1, t1 + 1,
-                             head_dim_, 0);
+                             head_dim_);
         }
       }
     }

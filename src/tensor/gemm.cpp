@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "kernels/kernels.h"
-#include "util/env.h"
 #include "util/phaseprof.h"
 #include "util/threadpool.h"
 
@@ -38,28 +37,16 @@ void rows_parallel(int64_t m, int64_t k, int64_t n,
       });
 }
 
-/// NT-store hint for the final K-panel of a C tile. Off by default
-/// (EMMARK_NT_STORE=1 enables -- an experiment knob, see BENCH notes):
-/// streaming stores only pay off when C spills cache, so the hint is also
-/// gated on the output size. Identical stored bits either way.
-uint32_t nt_store_flags(int64_t m, int64_t n) {
-  static const bool enabled = env_or("EMMARK_NT_STORE", "0") == "1";
-  if (!enabled) return 0;
-  return m * n >= (int64_t{1} << 16) ? kernels::kGemmFlagNtStore : 0u;
-}
-
 }  // namespace
 
 void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n, bool accumulate) {
   if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
   const kernels::Ops& ops = kernels::active_ops();
-  const uint32_t last_panel_flags = nt_store_flags(m, n);
   phaseprof::ScopedTimer timer(phaseprof::Phase::kGemm);
   rows_parallel(m, k, n, [&](int64_t i0, int64_t i1) {
     for (int64_t p0 = 0; p0 < k; p0 += kKc) {
       const int64_t p1 = std::min(k, p0 + kKc);
-      const uint32_t flags = p1 == k ? last_panel_flags : 0u;
       for (int64_t j0 = 0; j0 < n; j0 += kNc) {
         const int64_t jb = std::min(kNc, n - j0);
         for (int64_t i = i0; i < i1; ++i) {
@@ -67,7 +54,7 @@ void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
           // registers across the whole K-slice instead of a load/store
           // round trip per p, with the same ascending-p IEEE add order.
           ops.gemm_panel_f32(c + i * n + j0, b + p0 * n + j0, n, a + i * k + p0,
-                             1, p1 - p0, jb, flags);
+                             1, p1 - p0, jb);
         }
       }
     }
@@ -98,19 +85,17 @@ void gemm_tn(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n, bool accumulate) {
   if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
   const kernels::Ops& ops = kernels::active_ops();
-  const uint32_t last_panel_flags = nt_store_flags(m, n);
   phaseprof::ScopedTimer timer(phaseprof::Phase::kGemm);
   rows_parallel(m, k, n, [&](int64_t i0, int64_t i1) {
     for (int64_t p0 = 0; p0 < k; p0 += kKc) {
       const int64_t p1 = std::min(k, p0 + kKc);
-      const uint32_t flags = p1 == k ? last_panel_flags : 0u;
       for (int64_t j0 = 0; j0 < n; j0 += kNc) {
         const int64_t jb = std::min(kNc, n - j0);
         for (int64_t i = i0; i < i1; ++i) {
           // A^T walks column i of A with stride m; the microkernel takes
           // the stride directly, so no transpose copy is needed here.
           ops.gemm_panel_f32(c + i * n + j0, b + p0 * n + j0, n, a + p0 * m + i,
-                             m, p1 - p0, jb, flags);
+                             m, p1 - p0, jb);
         }
       }
     }
@@ -121,7 +106,6 @@ void gemm_nt_packed(const float* x, float* y, int64_t m, int64_t k, int64_t n,
                     bool accumulate, const PanelPacker& pack) {
   if (!accumulate) std::memset(y, 0, static_cast<size_t>(m * n) * sizeof(float));
   const kernels::Ops& ops = kernels::active_ops();
-  const uint32_t last_panel_flags = nt_store_flags(m, n);
   phaseprof::ScopedTimer timer(phaseprof::Phase::kGemm);
   rows_parallel(m, k, n, [&](int64_t i0, int64_t i1) {
     // One panel per row block: blocks run on different workers, and
@@ -130,7 +114,6 @@ void gemm_nt_packed(const float* x, float* y, int64_t m, int64_t k, int64_t n,
         static_cast<size_t>(kKc) * static_cast<size_t>(std::min(kNcPacked, n)));
     for (int64_t p0 = 0; p0 < k; p0 += kKc) {
       const int64_t pb = std::min(kKc, k - p0);
-      const uint32_t flags = p0 + pb == k ? last_panel_flags : 0u;
       for (int64_t j0 = 0; j0 < n; j0 += kNcPacked) {
         const int64_t jb = std::min(kNcPacked, n - j0);
         pack(p0, pb, j0, jb, panel.data());
@@ -139,7 +122,7 @@ void gemm_nt_packed(const float* x, float* y, int64_t m, int64_t k, int64_t n,
           // over every row in the block -- the reason batched eval (large
           // m) beats per-token calls even though the FLOPs are identical.
           ops.gemm_panel_f32(y + i * n + j0, panel.data(), jb, x + i * k + p0,
-                             1, pb, jb, flags);
+                             1, pb, jb);
         }
       }
     }

@@ -13,9 +13,8 @@
 // at every SIMD level, so results are bit-identical to the scalar
 // reference. Row blocks fan out to the active ThreadPool above the tile
 // loops (row ownership is exclusive, so thread count cannot change
-// results either). Two env knobs tune memory behavior without touching
-// results: EMMARK_GEMM_PREFETCH (default on) and EMMARK_NT_STORE
-// (default off; streaming stores for large-C final panels).
+// results either). One env knob tunes memory behavior without touching
+// results: EMMARK_GEMM_PREFETCH (default on).
 #pragma once
 
 #include <cstdint>

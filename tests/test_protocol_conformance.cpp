@@ -13,6 +13,13 @@
 // `# EOF`-terminated) but not for byte identity: the supervisor's merged
 // exposition legitimately adds its own fleet series.
 //
+// The corpus's engine and stats cases also travel as `POST /v1/<verb>`
+// over HTTP on both socket backends (§8): each response body must carry
+// the stdio bytes, with 400 for the cases the front door rejects before
+// the session sees them. The one exception is a line whose parameters do
+// not parse: the session answers it under an auto-id, HTTP under the
+// request's `id=` token, so only the rest of that line is compared.
+//
 // Corpus ids are always explicit: auto-ids (`req-<n>`) are allocated per
 // session, and the supervisor's per-worker sessions also consume one for
 // the spawn handshake, so auto-id'd responses are not comparable across
@@ -33,6 +40,7 @@
 #include <vector>
 
 #include "cli/daemon.h"
+#include "http_test_client.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/supervisor.h"
@@ -46,6 +54,7 @@ struct Case {
   bool expect_response;
   bool expect_ok;             // meaningful only when expect_response
   const char* expect_substr;  // must appear in the response; nullptr = none
+  int http_status;            // as POST /v1/<verb>; 0 = not an HTTP case
 };
 
 class ProtocolConformanceTest : public ::testing::Test {
@@ -84,31 +93,32 @@ class ProtocolConformanceTest : public ::testing::Test {
         {"insert-ok",
          "insert id=c1 " + spec + " record=" + rec + " codes=" + codes +
              " evidence=" + evid + " owner=acme",
-         true, true, "\"cmd\":\"insert\""},
+         true, true, "\"cmd\":\"insert\"", 200},
         {"extract-ok",
          "extract id=c2 " + spec + " record=" + rec + " codes=" + codes, true,
-         true, "wer_pct"},
+         true, "wer_pct", 200},
         {"verify-ok",
          "verify id=c3 " + spec + " evidence=" + evid + " codes=" + codes,
-         true, true, "\"cmd\":\"verify\""},
-        {"stats-ok", "stats id=c4", true, true, "\"cmd\":\"stats\""},
-        {"blank-line", "", false, false, nullptr},
-        {"comment-line", "# comments draw no response", false, false, nullptr},
+         true, true, "\"cmd\":\"verify\"", 200},
+        {"stats-ok", "stats id=c4", true, true, "\"cmd\":\"stats\"", 200},
+        {"blank-line", "", false, false, nullptr, 0},
+        {"comment-line", "# comments draw no response", false, false, nullptr,
+         0},
         {"malformed-token", "insert id=e1 bogus", true, false,
-         "expected key=value, got: bogus"},
+         "expected key=value, got: bogus", 400},
         {"unknown-command", "frobnicate id=e2", true, false,
-         "unknown command: frobnicate"},
+         "unknown command: frobnicate", 0},
         {"unknown-model", "insert id=e3 model=nope-9b-sim", true, false,
-         "unknown zoo model"},
+         "unknown zoo model", 400},
         {"bad-quant", "insert id=e4 " + std::string("model=opt-125m-sim") +
                           " quant=float99",
-         true, false, "unknown quant spec"},
+         true, false, "unknown quant spec", 400},
         {"bad-numeric", "insert id=e5 " + spec + " bits=banana", true, false,
-         "expects an integer"},
+         "expects an integer", 200},
         {"missing-required", "extract id=e6 " + spec, true, false,
-         "missing parameter: codes"},
+         "missing parameter: codes", 400},
         {"trace-missing-set", "trace id=e7 " + spec + " codes=" + codes, true,
-         false, "missing parameter: set"},
+         false, "missing parameter: set", 400},
     };
   }
 
@@ -256,6 +266,101 @@ class ProtocolConformanceTest : public ::testing::Test {
     }
   }
 
+  /// The corpus's HTTP cases as `POST /v1/<verb>`, pipelined on one
+  /// keep-alive connection (one session, and the same arrival pattern as
+  /// the line transports): one body per case, trailing newline stripped,
+  /// statuses checked as they arrive.
+  static TransportResult run_http(const std::string& transport, uint16_t port,
+                                  const std::vector<Case>& cases) {
+    TransportResult r;
+    r.transport = transport;
+    testfx::HttpConn http("127.0.0.1", port);
+    std::string requests;
+    for (const auto& c : cases) {
+      if (c.http_status == 0) continue;
+      const size_t sp = c.line.find(' ');
+      const std::string body =
+          sp == std::string::npos ? "" : c.line.substr(sp + 1);
+      requests += testfx::post_request("/v1/" + c.line.substr(0, sp), body);
+    }
+    http.send_raw(requests);
+    for (const auto& c : cases) {
+      if (c.http_status == 0) continue;
+      testfx::HttpResponse response;
+      if (!http.read_response(response)) {
+        ADD_FAILURE() << transport << ": connection closed at case " << c.name;
+        return r;
+      }
+      EXPECT_EQ(response.status, c.http_status)
+          << transport << " case " << c.name << ": " << response.body;
+      std::string line = response.body;
+      if (!line.empty() && line.back() == '\n') line.pop_back();
+      r.responses.push_back(line);
+    }
+    return r;
+  }
+
+  /// The cases whose line reaches the session over HTTP (the 400s are
+  /// answered by the front door).
+  static std::vector<Case> session_cases(const std::vector<Case>& cases) {
+    std::vector<Case> out;
+    for (const auto& c : cases) {
+      if (c.http_status == 200) out.push_back(c);
+    }
+    return out;
+  }
+
+  /// A response line minus its leading id field.
+  static std::string without_id(const std::string& line) {
+    const std::string prefix = "{\"id\":\"";
+    if (line.rfind(prefix, 0) != 0) return line;
+    const size_t end = line.find("\",", prefix.size());
+    return end == std::string::npos ? line : line.substr(end + 2);
+  }
+
+  /// HTTP bodies against stdio reference lines: a 400 against the full
+  /// corpus run, everything else against a stdio run of exactly the lines
+  /// the HTTP session saw (a `stats` snapshot counts the requests parsed
+  /// before it flushes, so the two sessions must see the same lines).
+  static void check_http_identity(const std::vector<Case>& cases,
+                                  const TransportResult& full_reference,
+                                  const TransportResult& session_reference,
+                                  const TransportResult& actual,
+                                  std::string& report) {
+    SCOPED_TRACE(actual.transport);
+    size_t full_slot = 0, session_slot = 0, http_slot = 0;
+    auto at = [](const TransportResult& r, size_t i) {
+      return i < r.responses.size() ? r.responses[i] : std::string("<missing>");
+    };
+    for (const auto& c : cases) {
+      if (!c.expect_response) continue;
+      const size_t full_index = full_slot++;
+      if (c.http_status == 0) continue;
+      const std::string want = c.http_status == 200
+                                   ? at(session_reference, session_slot++)
+                                   : at(full_reference, full_index);
+      const std::string got = at(actual, http_slot++);
+      // A session that cannot parse the parameters answers under an
+      // auto-id; the HTTP check answers under the request's id= token.
+      const bool auto_id = want.rfind("{\"id\":\"req-", 0) == 0;
+      const bool same = auto_id ? without_id(want) == without_id(got) : want == got;
+      if (!same) {
+        EXPECT_EQ(got, want) << "case " << c.name;
+        report += "transport: " + actual.transport + "\ncase: " + c.name +
+                  "\nrequest:  " + c.line + "\nexpected: " + want +
+                  "\nactual:   " + got + "\n\n";
+      }
+    }
+  }
+
+  static void write_report(const std::string& report) {
+    if (report.empty()) return;
+    std::ofstream out("conformance_failures.txt", std::ios::trunc);
+    out << "protocol conformance mismatches (reference: stdio daemon)\n\n"
+        << report;
+    ADD_FAILURE() << "wrote conformance_failures.txt";
+  }
+
   static std::string dir_;
 };
 
@@ -316,12 +421,53 @@ TEST_F(ProtocolConformanceTest, OneCorpusThreeTransports) {
   std::string report;
   check_identity(cases, stdio, tcp, report);
   check_identity(cases, stdio, procs, report);
-  if (!report.empty()) {
-    std::ofstream out("conformance_failures.txt", std::ios::trunc);
-    out << "protocol conformance mismatches (reference: stdio daemon)\n\n"
-        << report;
-    ADD_FAILURE() << "wrote conformance_failures.txt";
+  write_report(report);
+}
+
+TEST_F(ProtocolConformanceTest, EngineAndStatsCasesOverHttpOnBothBackends) {
+  const std::vector<Case> cases = corpus();
+  const TransportResult stdio = run_stdio(cases);
+  const TransportResult stdio_session = run_stdio(session_cases(cases));
+
+  // (a) In-process `serve`: HTTP needs no flag.
+  TransportResult in_process;
+  {
+    RequestRouter router(router_config());
+    SocketServer server(router, {});
+    std::thread serving([&] { server.run(); });
+    in_process = run_http("http-in-process", server.port(), cases);
+    server.request_stop();
+    serving.join();
   }
+
+  // (b) The process-shard fleet.
+  TransportResult fleet;
+  {
+    SupervisorConfig sc;
+    sc.worker_cmd = "./emmark_cli";
+    sc.socket_dir = dir_ + "/sk_http";
+    std::filesystem::create_directories(sc.socket_dir);
+    sc.router = router_config();
+    Supervisor sup(std::move(sc));
+    std::thread serving([&] { sup.run(); });
+    const bool ready = wait_for(
+        [&] {
+          for (size_t i = 0; i < sup.workers(); ++i) {
+            if (!sup.worker_ready(i)) return false;
+          }
+          return true;
+        },
+        30000);
+    EXPECT_TRUE(ready) << "shard workers never came up";
+    if (ready) fleet = run_http("http-process-shards", sup.port(), cases);
+    sup.request_stop();
+    serving.join();
+  }
+
+  std::string report;
+  check_http_identity(cases, stdio, stdio_session, in_process, report);
+  check_http_identity(cases, stdio, stdio_session, fleet, report);
+  write_report(report);
 }
 
 TEST_F(ProtocolConformanceTest, OversizedLinesDropTheConnection) {
