@@ -6,6 +6,7 @@
 #include <ctime>
 #include <filesystem>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -51,14 +52,15 @@ uint64_t ring_hash(const std::string& s) {
   return splitmix64(state);
 }
 
+constexpr size_t kVnodesPerShard = 64;
+
 }  // namespace
 
-ShardRouter::ShardRouter(size_t shards, size_t vnodes_per_shard)
-    : shards_(shards == 0 ? 1 : shards) {
+ShardRouter::ShardRouter(size_t shards) : shards_(shards == 0 ? 1 : shards) {
   if (shards_ == 1) return;  // ring unused: everything maps to shard 0
-  ring_.reserve(shards_ * vnodes_per_shard);
+  ring_.reserve(shards_ * kVnodesPerShard);
   for (size_t shard = 0; shard < shards_; ++shard) {
-    for (size_t v = 0; v < vnodes_per_shard; ++v) {
+    for (size_t v = 0; v < kVnodesPerShard; ++v) {
       const std::string label =
           "shard-" + std::to_string(shard) + "#" + std::to_string(v);
       ring_.emplace_back(ring_hash(label), shard);
@@ -76,54 +78,6 @@ size_t ShardRouter::shard_for(const std::string& key) const {
   return it == ring_.end() ? ring_.front().second : it->second;
 }
 
-// --- request-lifecycle metrics -----------------------------------------------
-
-/// Pre-registered series behind the `metrics` verb. Registration (a
-/// name+label lookup under the registry mutex) happens once, at router
-/// construction; the request path only touches the resolved pointers --
-/// relaxed atomic increments, per the obs record-path cost contract.
-struct RouterMetrics {
-  static constexpr size_t kVerbs = 4;
-  static constexpr const char* kVerbNames[kVerbs] = {"insert", "extract",
-                                                     "trace", "verify"};
-  static constexpr size_t kPhases = 4;
-  static constexpr const char* kPhaseNames[kPhases] = {"queue", "run", "flush",
-                                                       "total"};
-
-  obs::Histogram* latency[kVerbs][kPhases];
-  obs::Counter* requests[kVerbs];
-  obs::Counter* failures[kVerbs];
-  std::vector<obs::Counter*> shed;  // per shard
-  obs::Counter* scrapes = nullptr;
-
-  RouterMetrics(obs::MetricsRegistry& registry, size_t shards) {
-    for (size_t v = 0; v < kVerbs; ++v) {
-      for (size_t p = 0; p < kPhases; ++p) {
-        latency[v][p] = &registry.histogram(
-            "emmark_request_latency_seconds",
-            "Request lifecycle phase latency per verb (queue: parse to "
-            "engine submit; run: submit to completion; flush: completion to "
-            "response emit; total: parse to emit).",
-            {{"verb", kVerbNames[v]}, {"phase", kPhaseNames[p]}});
-      }
-      requests[v] =
-          &registry.counter("emmark_requests_total", "Responses emitted per verb.",
-                            {{"verb", kVerbNames[v]}});
-      failures[v] = &registry.counter("emmark_request_failures_total",
-                                      "Responses with ok=false per verb.",
-                                      {{"verb", kVerbNames[v]}});
-    }
-    shed.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      shed.push_back(&registry.counter(
-          "emmark_requests_shed_total",
-          "Requests fast-failed by admission control (--max-queued).",
-          {{"shard", std::to_string(s)}}));
-    }
-    scrapes = &registry.counter("emmark_metrics_scrapes_total",
-                                "metrics-verb scrapes served.");
-  }
-};
 
 // --- wire grammar ------------------------------------------------------------
 
@@ -175,11 +129,6 @@ std::string request_id(const std::vector<std::string>& tokens) {
   return id;
 }
 
-bool is_engine_verb(const std::string& cmd) {
-  return cmd == "insert" || cmd == "extract" || cmd == "verify" ||
-         cmd == "trace";
-}
-
 namespace {
 
 /// `key=value` parameters following the command word. Numeric getters
@@ -192,11 +141,6 @@ struct Params {
   std::string get(const std::string& key, const std::string& def) const {
     const auto it = kv.find(key);
     return it == kv.end() ? def : it->second;
-  }
-  std::string require(const std::string& key) const {
-    const auto it = kv.find(key);
-    if (it == kv.end()) throw std::invalid_argument("missing parameter: " + key);
-    return it->second;
   }
   int64_t get_int(const std::string& key, int64_t def) const {
     const auto it = kv.find(key);
@@ -253,33 +197,6 @@ ModelSpec resolve_spec(const Params& params, int64_t train_steps_cap) {
   return spec;
 }
 
-}  // namespace
-
-RequestCheck check_request(const std::vector<std::string>& tokens,
-                           int64_t train_steps_cap) {
-  // Required parameters per verb, in the order the session requires them.
-  static const std::map<std::string, std::vector<std::string>> kRequired = {
-      {"extract", {"codes", "record"}},
-      {"verify", {"codes", "evidence"}},
-      {"trace", {"codes", "set"}},
-  };
-  RequestCheck check;
-  const Params params = parse_params(tokens);
-  if (tokens.empty() || !is_engine_verb(tokens[0])) return check;
-  check.spec = resolve_spec(params, train_steps_cap);
-  if (const auto it = kRequired.find(tokens[0]); it != kRequired.end()) {
-    for (const std::string& key : it->second) {
-      if (!params.kv.count(key)) {
-        check.missing = key;
-        break;
-      }
-    }
-  }
-  return check;
-}
-
-namespace {
-
 std::string json_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -323,46 +240,14 @@ void release_claims(std::multimap<std::string, uint64_t>& claims,
   }
 }
 
-/// Drops a slot's artifact claims when its finalizer exits, success or
-/// error: the paths stop being owed once the response flushed (written /
-/// read, or never going to be).
-struct ClaimRelease {
-  std::multimap<std::string, uint64_t>& claims;
-  const std::vector<std::string>& keys;
-  uint64_t seq;
-  ~ClaimRelease() { release_claims(claims, keys, seq); }
-};
-
 template <typename Result>
 bool future_ready(const std::shared_future<Result>& future) {
   return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
-WatermarkKey key_from(const Params& params) {
-  WatermarkKey key;
-  key.seed = static_cast<uint64_t>(params.get_int("seed", 100));
-  key.signature_seed =
-      static_cast<uint64_t>(params.get_int("signature-seed", 424242));
-  key.bits_per_layer = params.get_int("bits", 8);
-  key.candidate_ratio = params.get_int("ratio", 10);
-  return key;
-}
-
-constexpr size_t kInsertVerb = 0;
-constexpr size_t kExtractVerb = 1;
-constexpr size_t kTraceVerb = 2;
-constexpr size_t kVerifyVerb = 3;
-
-size_t verb_index(const std::string& cmd) {
-  if (cmd == "insert") return kInsertVerb;
-  if (cmd == "extract") return kExtractVerb;
-  if (cmd == "trace") return kTraceVerb;
-  return kVerifyVerb;
-}
-
 /// Lifecycle timestamps for one request. `parse` is stamped at intake,
 /// `submit` when the engine accepts the request, `complete` on the engine
-/// worker just before the result future resolves -- the future is the
+/// worker just before the request settles -- the settled future is the
 /// synchronization that makes `complete` safe to read at flush time.
 struct RequestStamps {
   std::chrono::steady_clock::time_point parse{};
@@ -403,6 +288,376 @@ struct OverloadError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// --- engine verbs ------------------------------------------------------------
+//
+// insert, extract, verify and trace share one pipeline; the verb table below
+// holds everything that differs between them. handle_line parses and checks
+// the whole line first -- parameters, spec, admission, then the verb's
+// required and numeric parameters -- and only then takes side effects:
+// the deferred-slot count, the artifact claims and the model build
+// (ModelStore::get_async). A rejected line starts no work.
+//
+// The request then moves toward the engine in two non-blocking steps,
+// retried on every poll:
+//
+//   1. the build future must be ready (an engine worker must never park on
+//      a build future -- builds run on the same pool, so a small pool
+//      could deadlock on itself);
+//   2. the engine must accept it (try_submit; a full queue defers to the
+//      next poll instead of parking the event loop).
+//
+// Artifact loads and the model deep copy live in the request's lazy
+// factory, which the engine invokes on the executing worker -- the session
+// thread never touches the filesystem. The worker also renders the
+// response line (insert first writes its artifacts), so a later reader
+// gated on this slot's flush sees the files. The blocking variant
+// (block=true, used only by the in-order finalizers, where waiting is the
+// contract) resolves the build and submits with backpressure in one call.
+// A failed build lands in fail_error: the response slot turns it into the
+// same error line an intake-time failure produces.
+
+struct EngineVerb;
+
+/// One engine request between intake and its response, whatever the verb.
+struct EngineRequest {
+  const EngineVerb* verb = nullptr;
+  std::string id;
+  Params params;
+  // Numeric parameters, checked at parse time by the verb.
+  WatermarkKey key;
+  bool seed_from_id = false;
+  double min_wer_pct = -1.0;  // negative = the engine's gate (--min-wer)
+  // Canonical artifact paths this slot reads / writes, claimed under seq.
+  std::vector<std::string> reads, writes;
+  uint64_t seq = 0;
+  // Set at intake.
+  WatermarkEngine* engine = nullptr;
+  std::shared_future<ModelHandle> build;
+  RequestStamps stamps;
+  DeferredSlot deferred;
+  // Set once the build resolved: the handle, then submitted or fail_error.
+  ModelHandle handle;
+  bool submitted = false;
+  std::string fail_error;
+  // Materialized on the engine worker: insert's private copy or the
+  // suspect, plus the artifact the verb reads.
+  std::unique_ptr<QuantizedModel> model;
+  SchemeRecord record;
+  FingerprintSet set;
+  std::unique_ptr<OwnershipEvidence> evidence;
+  // Written on the engine worker before `settled` resolves; the finalizer
+  // reads them after, so the promise/future pair is the synchronization.
+  bool ok = false;
+  std::string response;
+  std::promise<void> settle;
+  std::shared_future<void> settled = settle.get_future().share();
+};
+
+using EnginePtr = std::shared_ptr<EngineRequest>;
+
+/// One row per engine verb: the verb's whole protocol policy.
+struct EngineVerb {
+  const char* name;
+  /// Parameters the line must carry, in the order they are checked.
+  std::vector<std::string> required;
+  /// Artifact parameters read, and written when given.
+  std::vector<std::string> reads, writes;
+  /// Checks and stores the verb's numeric parameters; throws on bad input.
+  void (*parse)(EngineRequest& ctx);
+  /// Moves the request toward the engine (see the pipeline comment).
+  bool (*submit)(const EnginePtr& ctx, bool block);
+};
+
+void parse_insert(EngineRequest& ctx) {
+  ctx.key.seed = static_cast<uint64_t>(ctx.params.get_int("seed", 100));
+  ctx.key.signature_seed =
+      static_cast<uint64_t>(ctx.params.get_int("signature-seed", 424242));
+  ctx.key.bits_per_layer = ctx.params.get_int("bits", 8);
+  ctx.key.candidate_ratio = ctx.params.get_int("ratio", 10);
+  ctx.seed_from_id = ctx.params.get_int("seed-from-id", 0) != 0;
+}
+
+void parse_min_wer(EngineRequest& ctx) {
+  ctx.min_wer_pct = ctx.params.get_double("min-wer", -1.0);
+}
+
+// Per-verb engine requests. Each factory captures ctx, which also pins it
+// until the engine finishes the slot, so an abandoned session can drop its
+// finalizer without dangling the worker.
+
+WatermarkEngine::InsertRequest insert_request(const EnginePtr& ctx) {
+  WatermarkEngine::InsertRequest request;
+  request.id = ctx->id;
+  request.scheme = ctx->params.get("scheme", "emmark");
+  request.key = ctx->key;
+  request.seed_from_id = ctx->seed_from_id;
+  request.stats = ctx->handle.stats.get();
+  // The deep copy of the cached original happens on the engine worker, so
+  // even a warm insert costs the session only a queue push, and
+  // back-to-back inserts pipeline instead of serializing on copies.
+  request.model_factory = [ctx] {
+    ctx->model = std::make_unique<QuantizedModel>(*ctx->handle.original);
+    return ctx->model.get();
+  };
+  return request;
+}
+
+/// The suspect: a private copy of the original carrying the client's codes.
+const QuantizedModel* load_suspect(EngineRequest& ctx) {
+  ctx.model = std::make_unique<QuantizedModel>(*ctx.handle.original);
+  ctx.model->load_codes(ctx.params.get("codes", ""));
+  return ctx.model.get();
+}
+
+WatermarkEngine::ExtractRequest extract_request(const EnginePtr& ctx) {
+  WatermarkEngine::ExtractRequest request;
+  request.id = ctx->id;
+  request.sources_factory = [ctx] {
+    WatermarkEngine::ExtractRequest::Sources src;
+    src.suspect = load_suspect(*ctx);
+    ctx->record = SchemeRecord::load(ctx->params.get("record", ""));
+    src.original = ctx->handle.original.get();
+    src.record = &ctx->record;
+    return src;
+  };
+  return request;
+}
+
+WatermarkEngine::VerifyRequest verify_request(const EnginePtr& ctx) {
+  WatermarkEngine::VerifyRequest request;
+  request.id = ctx->id;
+  request.min_wer_pct = ctx->min_wer_pct;
+  request.sources_factory = [ctx] {
+    WatermarkEngine::VerifyRequest::Sources src;
+    src.suspect = load_suspect(*ctx);
+    ctx->evidence = std::make_unique<OwnershipEvidence>(
+        OwnershipEvidence::load(ctx->params.get("evidence", "")));
+    src.original = ctx->handle.original.get();
+    src.stats = ctx->handle.stats.get();
+    src.evidence = ctx->evidence.get();
+    return src;
+  };
+  return request;
+}
+
+WatermarkEngine::TraceRequest trace_request(const EnginePtr& ctx) {
+  WatermarkEngine::TraceRequest request;
+  request.id = ctx->id;
+  request.min_wer_pct = ctx->min_wer_pct;
+  request.sources_factory = [ctx] {
+    WatermarkEngine::TraceRequest::Sources src;
+    src.suspect = load_suspect(*ctx);
+    ctx->set = FingerprintSet::load(ctx->params.get("set", ""));
+    src.original = ctx->handle.original.get();
+    src.set = &ctx->set;
+    return src;
+  };
+  return request;
+}
+
+// Per-verb success fields, rendered on the engine worker after the common
+// {"id","cmd","ok":true} prefix. A throw turns into the slot's error line.
+
+std::string respond(EngineRequest& ctx, const WatermarkEngine::InsertResult& slot) {
+  // Persist the requested artifacts before the response is released.
+  std::string artifacts;
+  auto wrote = [&](const char* name, const std::string& path) {
+    artifacts += std::string(",\"") + name + "\":\"" + json_escape(path) + "\"";
+  };
+  if (const std::string path = ctx.params.get("codes", ""); !path.empty()) {
+    ctx.model->save_codes(path);
+    wrote("codes", path);
+  }
+  if (const std::string path = ctx.params.get("record", ""); !path.empty()) {
+    slot.record.save(path);
+    wrote("record", path);
+  }
+  if (const std::string path = ctx.params.get("evidence", ""); !path.empty()) {
+    OwnershipEvidence::create(ctx.params.get("owner", "owner"), slot.record,
+                              *ctx.handle.original, *ctx.handle.stats,
+                              static_cast<uint64_t>(std::time(nullptr)))
+        .save(path);
+    wrote("evidence", path);
+  }
+  const int64_t total_bits =
+      WatermarkRegistry::create(slot.record.scheme())->total_bits(slot.record);
+  return ",\"scheme\":\"" + json_escape(slot.record.scheme()) +
+         "\",\"total_bits\":" + std::to_string(total_bits) +
+         ",\"seed\":" + std::to_string(slot.key.seed) + artifacts;
+}
+
+std::string respond(EngineRequest& ctx, const WatermarkEngine::ExtractResult& slot) {
+  return ",\"scheme\":\"" + json_escape(ctx.record.scheme()) +
+         "\",\"wer_pct\":" + json_double(slot.report.wer_pct()) +
+         ",\"matched_bits\":" + std::to_string(slot.report.matched_bits) +
+         ",\"total_bits\":" + std::to_string(slot.report.total_bits) +
+         ",\"strength_log10\":" + json_double(slot.report.strength_log10());
+}
+
+std::string respond(EngineRequest&, const WatermarkEngine::VerifyResult& slot) {
+  return std::string(",\"verified\":") + (slot.verified ? "true" : "false") +
+         ",\"owner\":\"" + json_escape(slot.owner) + "\",\"scheme\":\"" +
+         json_escape(slot.scheme) + "\",\"why\":\"" + json_escape(slot.why) +
+         "\"";
+}
+
+std::string respond(EngineRequest&, const WatermarkEngine::TraceBatchResult& slot) {
+  return ",\"device\":\"" + json_escape(slot.trace.device_id) +
+         "\",\"matched\":" + (slot.trace.device_id.empty() ? "false" : "true") +
+         ",\"wer_pct\":" + json_double(slot.trace.wer_pct) +
+         ",\"runner_up_wer_pct\":" + json_double(slot.trace.runner_up_wer_pct) +
+         ",\"strength_log10\":" + json_double(slot.trace.strength_log10);
+}
+
+template <typename Request, Request (*make_request)(const EnginePtr&)>
+bool submit_to_engine(const EnginePtr& ctx, bool block) {
+  using Result = typename Request::Result;
+  if (ctx->submitted || !ctx->fail_error.empty()) return true;
+  if (!block && !future_ready(ctx->build)) return false;
+  try {
+    ctx->handle = ctx->build.get();
+  } catch (const std::exception& e) {
+    ctx->fail_error = e.what();
+    ctx->deferred.release();  // never reaching the engine
+    return true;
+  }
+  Request request = make_request(ctx);
+  // The response travels through ctx->settled, so the engine's own
+  // result future is not kept.
+  WatermarkEngine::Callback<Request> done = [ctx](const Result& slot) {
+    if (!slot.ok) {
+      ctx->response = error_line(ctx->id, ctx->verb->name, slot.error);
+    } else {
+      try {
+        ctx->response = "{\"id\":\"" + json_escape(ctx->id) + "\",\"cmd\":\"" +
+                        ctx->verb->name + "\",\"ok\":true" +
+                        respond(*ctx, slot) + "}";
+        ctx->ok = true;
+      } catch (const std::exception& e) {
+        ctx->response = error_line(ctx->id, ctx->verb->name, e.what());
+      }
+    }
+    ctx->stamps.complete = std::chrono::steady_clock::now();
+    ctx->settle.set_value();
+  };
+  std::future<Result> result;
+  if (block) {
+    result = ctx->engine->submit(std::move(request), std::move(done));
+  } else if (!ctx->engine->try_submit(request, result, std::move(done))) {
+    return false;
+  }
+  ctx->submitted = true;
+  ctx->stamps.submit = std::chrono::steady_clock::now();
+  ctx->deferred.release();
+  return true;
+}
+
+/// The engine verbs, in protocol order. Adding a verb is adding a row (and
+/// its request factory and response renderer above).
+const EngineVerb kEngineVerbs[] = {
+    {"insert", {}, {}, {"codes", "record", "evidence"}, parse_insert,
+     submit_to_engine<WatermarkEngine::InsertRequest, insert_request>},
+    {"extract", {"codes", "record"}, {"codes", "record"}, {}, nullptr,
+     submit_to_engine<WatermarkEngine::ExtractRequest, extract_request>},
+    {"verify", {"codes", "evidence"}, {"codes", "evidence"}, {}, parse_min_wer,
+     submit_to_engine<WatermarkEngine::VerifyRequest, verify_request>},
+    {"trace", {"codes", "set"}, {"codes", "set"}, {}, parse_min_wer,
+     submit_to_engine<WatermarkEngine::TraceRequest, trace_request>},
+};
+
+const EngineVerb* find_engine_verb(const std::string& cmd) {
+  for (const EngineVerb& verb : kEngineVerbs) {
+    if (cmd == verb.name) return &verb;
+  }
+  return nullptr;
+}
+
+/// The first required parameter the line lacks, or "".
+std::string first_missing(const EngineVerb& verb, const Params& params) {
+  for (const std::string& key : verb.required) {
+    if (!params.kv.count(key)) return key;
+  }
+  return "";
+}
+
+}  // namespace
+
+bool is_engine_verb(const std::string& cmd) {
+  return find_engine_verb(cmd) != nullptr;
+}
+
+const std::string& engine_verb_names() {
+  static const std::string names = [] {
+    std::string out;
+    for (const EngineVerb& verb : kEngineVerbs) {
+      out += (out.empty() ? "" : " ") + std::string(verb.name);
+    }
+    return out;
+  }();
+  return names;
+}
+
+RequestCheck check_request(const std::vector<std::string>& tokens,
+                           int64_t train_steps_cap) {
+  RequestCheck check;
+  const Params params = parse_params(tokens);
+  const EngineVerb* verb = tokens.empty() ? nullptr : find_engine_verb(tokens[0]);
+  if (verb == nullptr) return check;
+  check.spec = resolve_spec(params, train_steps_cap);
+  check.missing = first_missing(*verb, params);
+  return check;
+}
+
+// --- request-lifecycle metrics -----------------------------------------------
+
+/// Pre-registered series behind the `metrics` verb. Registration (a
+/// name+label lookup under the registry mutex) happens once, at router
+/// construction; the request path only touches the resolved pointers --
+/// relaxed atomic increments, per the obs record-path cost contract.
+struct RouterMetrics {
+  static constexpr size_t kVerbs = std::size(kEngineVerbs);
+  static constexpr size_t kPhases = 4;
+  static constexpr const char* kPhaseNames[kPhases] = {"queue", "run", "flush",
+                                                       "total"};
+
+  obs::Histogram* latency[kVerbs][kPhases];
+  obs::Counter* requests[kVerbs];
+  obs::Counter* failures[kVerbs];
+  std::vector<obs::Counter*> shed;  // per shard
+  obs::Counter* scrapes = nullptr;
+
+  RouterMetrics(obs::MetricsRegistry& registry, size_t shards) {
+    for (size_t v = 0; v < kVerbs; ++v) {
+      for (size_t p = 0; p < kPhases; ++p) {
+        latency[v][p] = &registry.histogram(
+            "emmark_request_latency_seconds",
+            "Request lifecycle phase latency per verb (queue: parse to "
+            "engine submit; run: submit to completion; flush: completion to "
+            "response emit; total: parse to emit).",
+            {{"verb", kEngineVerbs[v].name}, {"phase", kPhaseNames[p]}});
+      }
+      requests[v] =
+          &registry.counter("emmark_requests_total", "Responses emitted per verb.",
+                            {{"verb", kEngineVerbs[v].name}});
+      failures[v] = &registry.counter("emmark_request_failures_total",
+                                      "Responses with ok=false per verb.",
+                                      {{"verb", kEngineVerbs[v].name}});
+    }
+    shed.reserve(shards);
+    for (size_t s = 0; s < shards; ++s) {
+      shed.push_back(&registry.counter(
+          "emmark_requests_shed_total",
+          "Requests fast-failed by admission control (--max-queued).",
+          {{"shard", std::to_string(s)}}));
+    }
+    scrapes = &registry.counter("emmark_metrics_scrapes_total",
+                                "metrics-verb scrapes served.");
+  }
+};
+
+namespace {
+
+/// Records a flushed request's lifecycle phases and outcome.
 void record_request(RouterMetrics& metrics, size_t verb,
                     const RequestStamps& stamps, bool ok) {
   const auto flush = std::chrono::steady_clock::now();
@@ -418,272 +673,6 @@ void record_request(RouterMetrics& metrics, size_t verb,
   }
   metrics.requests[verb]->inc();
   if (!ok) metrics.failures[verb]->inc();
-}
-
-/// Scoped flush-time recorder for a verb finalizer: destruction stamps the
-/// flush and records every phase; the finalizer flips `ok` on success.
-struct RequestRecord {
-  RouterMetrics& metrics;
-  size_t verb;
-  const RequestStamps& stamps;
-  bool ok = false;
-  ~RequestRecord() { record_request(metrics, verb, stamps, ok); }
-};
-
-// --- per-verb lazy pipelines -------------------------------------------------
-//
-// Every verb follows one shape. handle_line fills a ctx with the parsed
-// parameters and the model build future (ModelStore::get_async), then the
-// submit helper moves the request toward the engine in two non-blocking
-// steps retried on every poll:
-//
-//   1. the build future must be ready (an engine worker must never park on
-//      a build future -- builds run on the same pool, so a small pool
-//      could deadlock on itself);
-//   2. the engine must accept it (try_submit; a full queue defers to the
-//      next poll instead of parking the event loop).
-//
-// Artifact loads and the suspect deep copy live in the request's lazy
-// sources factory, which the engine invokes on the executing worker -- the
-// session thread never touches the filesystem. The blocking variant
-// (block=true, used only by the in-order finalizers, where waiting is the
-// contract) resolves the build and submits with backpressure in one call.
-// A failed build lands in ctx.fail_error instead of throwing: the response
-// slot turns it into the same error line an intake-time failure used to
-// produce.
-
-template <typename Result, typename Ctx, typename MakeRequest>
-bool submit_lazy(const std::shared_ptr<Ctx>& ctx, bool block,
-                 MakeRequest make_request,
-                 std::function<void(const Result&)> done = {}) {
-  if (ctx->result != nullptr || !ctx->fail_error.empty()) return true;
-  if (!block && !future_ready(ctx->build)) return false;
-  try {
-    ctx->handle = ctx->build.get();
-  } catch (const std::exception& e) {
-    ctx->fail_error = e.what();
-    ctx->deferred.release();  // never reaching the engine
-    return true;
-  }
-  auto request = make_request();
-  if (block) {
-    ctx->result = std::make_shared<std::shared_future<Result>>(
-        ctx->engine->submit(std::move(request), std::move(done)).share());
-    ctx->stamps.submit = std::chrono::steady_clock::now();
-    ctx->deferred.release();
-    return true;
-  }
-  std::future<Result> out;
-  if (!ctx->engine->try_submit(request, out, std::move(done))) return false;
-  ctx->result = std::make_shared<std::shared_future<Result>>(out.share());
-  ctx->stamps.submit = std::chrono::steady_clock::now();
-  ctx->deferred.release();
-  return true;
-}
-
-/// Everything an insert needs between intake and response. The worker that
-/// executes the request also writes the artifacts (completion callback):
-/// codes, record and evidence hit disk before the result future becomes
-/// ready, so a later reader gated on this slot's flush sees the files.
-struct InsertCtx {
-  WatermarkEngine* engine = nullptr;
-  std::shared_future<ModelHandle> build;
-  ModelHandle handle;
-  std::unique_ptr<QuantizedModel> model;
-  // Request fields captured at parse time, submitted when the build lands.
-  std::string id, scheme;
-  WatermarkKey key;
-  bool seed_from_id = false;
-  std::string codes_path, record_path, evidence_path, owner;
-  // Written by the engine worker (completion callback) before the result
-  // future resolves; the finalizer reads them after it resolved, so the
-  // promise/future pair is the synchronization.
-  std::string artifacts_json;
-  int64_t total_bits = 0;
-  std::string save_error;
-  // Set once submitted / failed.
-  std::shared_ptr<std::shared_future<WatermarkEngine::InsertResult>> result;
-  std::string fail_error;
-  RequestStamps stamps;
-  DeferredSlot deferred;
-};
-
-/// Runs on the engine worker right after the insert executed: persist the
-/// requested artifacts and price the response while still off the session
-/// thread.
-void save_insert_artifacts(const std::shared_ptr<InsertCtx>& ctx,
-                           const WatermarkEngine::InsertResult& slot) {
-  if (!slot.ok) return;
-  try {
-    if (!ctx->codes_path.empty()) {
-      ctx->model->save_codes(ctx->codes_path);
-      ctx->artifacts_json += ",\"codes\":\"" + json_escape(ctx->codes_path) + "\"";
-    }
-    if (!ctx->record_path.empty()) {
-      slot.record.save(ctx->record_path);
-      ctx->artifacts_json += ",\"record\":\"" + json_escape(ctx->record_path) + "\"";
-    }
-    if (!ctx->evidence_path.empty()) {
-      OwnershipEvidence::create(ctx->owner, slot.record, *ctx->handle.original,
-                                *ctx->handle.stats,
-                                static_cast<uint64_t>(std::time(nullptr)))
-          .save(ctx->evidence_path);
-      ctx->artifacts_json +=
-          ",\"evidence\":\"" + json_escape(ctx->evidence_path) + "\"";
-    }
-    ctx->total_bits = WatermarkRegistry::create(slot.record.scheme())
-                          ->total_bits(slot.record);
-  } catch (const std::exception& e) {
-    ctx->save_error = e.what();
-  }
-}
-
-bool submit_insert(const std::shared_ptr<InsertCtx>& ctx, bool block) {
-  return submit_lazy<WatermarkEngine::InsertResult>(
-      ctx, block,
-      [&ctx] {
-        WatermarkEngine::InsertRequest request;
-        request.id = ctx->id;
-        request.scheme = ctx->scheme;
-        request.key = ctx->key;
-        request.seed_from_id = ctx->seed_from_id;
-        request.stats = ctx->handle.stats.get();
-        // The deep copy of the cached original happens on the engine
-        // worker (model_factory), so even a warm insert costs the session
-        // only a queue push, and back-to-back inserts pipeline instead of
-        // serializing on copies.
-        request.model_factory = [ctx] {
-          ctx->model = std::make_unique<QuantizedModel>(*ctx->handle.original);
-          return ctx->model.get();
-        };
-        return request;
-      },
-      std::function<void(const WatermarkEngine::InsertResult&)>(
-          [ctx](const WatermarkEngine::InsertResult& slot) {
-            save_insert_artifacts(ctx, slot);
-            ctx->stamps.complete = std::chrono::steady_clock::now();
-          }));
-}
-
-struct ExtractCtx {
-  WatermarkEngine* engine = nullptr;
-  std::shared_future<ModelHandle> build;
-  ModelHandle handle;
-  std::unique_ptr<QuantizedModel> suspect;
-  SchemeRecord record;
-  std::string id, codes_path, record_path;
-  std::shared_ptr<std::shared_future<WatermarkEngine::ExtractResult>> result;
-  std::string fail_error;
-  RequestStamps stamps;
-  DeferredSlot deferred;
-};
-
-bool submit_extract(const std::shared_ptr<ExtractCtx>& ctx, bool block) {
-  return submit_lazy<WatermarkEngine::ExtractResult>(
-      ctx, block,
-      [&ctx] {
-        WatermarkEngine::ExtractRequest request;
-        request.id = ctx->id;
-        // The suspect deep copy and both artifact loads run on the engine
-        // worker. The factory capturing ctx also pins it until the engine
-        // finishes the slot, so an abandoned session can drop its finalizer
-        // without dangling the worker.
-        request.sources_factory = [ctx] {
-          ctx->suspect = std::make_unique<QuantizedModel>(*ctx->handle.original);
-          ctx->suspect->load_codes(ctx->codes_path);
-          ctx->record = SchemeRecord::load(ctx->record_path);
-          WatermarkEngine::ExtractRequest::Sources src;
-          src.suspect = ctx->suspect.get();
-          src.original = ctx->handle.original.get();
-          src.record = &ctx->record;
-          return src;
-        };
-        return request;
-      },
-      std::function<void(const WatermarkEngine::ExtractResult&)>(
-          [ctx](const WatermarkEngine::ExtractResult&) {
-            ctx->stamps.complete = std::chrono::steady_clock::now();
-          }));
-}
-
-struct TraceCtx {
-  WatermarkEngine* engine = nullptr;
-  std::shared_future<ModelHandle> build;
-  ModelHandle handle;
-  std::unique_ptr<QuantizedModel> suspect;
-  FingerprintSet set;
-  std::string id, codes_path, set_path;
-  double min_wer_pct = -1.0;
-  std::shared_ptr<std::shared_future<WatermarkEngine::TraceBatchResult>> result;
-  std::string fail_error;
-  RequestStamps stamps;
-  DeferredSlot deferred;
-};
-
-bool submit_trace(const std::shared_ptr<TraceCtx>& ctx, bool block) {
-  return submit_lazy<WatermarkEngine::TraceBatchResult>(
-      ctx, block,
-      [&ctx] {
-        WatermarkEngine::TraceRequest request;
-        request.id = ctx->id;
-        request.min_wer_pct = ctx->min_wer_pct;
-        request.sources_factory = [ctx] {
-          ctx->suspect = std::make_unique<QuantizedModel>(*ctx->handle.original);
-          ctx->suspect->load_codes(ctx->codes_path);
-          ctx->set = FingerprintSet::load(ctx->set_path);
-          WatermarkEngine::TraceRequest::Sources src;
-          src.suspect = ctx->suspect.get();
-          src.original = ctx->handle.original.get();
-          src.set = &ctx->set;
-          return src;
-        };
-        return request;
-      },
-      std::function<void(const WatermarkEngine::TraceBatchResult&)>(
-          [ctx](const WatermarkEngine::TraceBatchResult&) {
-            ctx->stamps.complete = std::chrono::steady_clock::now();
-          }));
-}
-
-struct VerifyCtx {
-  WatermarkEngine* engine = nullptr;
-  std::shared_future<ModelHandle> build;
-  ModelHandle handle;
-  std::unique_ptr<QuantizedModel> suspect;
-  std::unique_ptr<OwnershipEvidence> evidence;
-  std::string id, codes_path, evidence_path;
-  double min_wer_pct = -1.0;
-  std::shared_ptr<std::shared_future<WatermarkEngine::VerifyResult>> result;
-  std::string fail_error;
-  RequestStamps stamps;
-  DeferredSlot deferred;
-};
-
-bool submit_verify(const std::shared_ptr<VerifyCtx>& ctx, bool block) {
-  return submit_lazy<WatermarkEngine::VerifyResult>(
-      ctx, block,
-      [&ctx] {
-        WatermarkEngine::VerifyRequest request;
-        request.id = ctx->id;
-        request.min_wer_pct = ctx->min_wer_pct;
-        request.sources_factory = [ctx] {
-          ctx->suspect = std::make_unique<QuantizedModel>(*ctx->handle.original);
-          ctx->suspect->load_codes(ctx->codes_path);
-          ctx->evidence = std::make_unique<OwnershipEvidence>(
-              OwnershipEvidence::load(ctx->evidence_path));
-          WatermarkEngine::VerifyRequest::Sources src;
-          src.suspect = ctx->suspect.get();
-          src.original = ctx->handle.original.get();
-          src.stats = ctx->handle.stats.get();
-          src.evidence = ctx->evidence.get();
-          return src;
-        };
-        return request;
-      },
-      std::function<void(const WatermarkEngine::VerifyResult&)>(
-          [ctx](const WatermarkEngine::VerifyResult&) {
-            ctx->stamps.complete = std::chrono::steady_clock::now();
-          }));
 }
 
 }  // namespace
@@ -911,20 +900,20 @@ bool RequestRouter::Session::handle_line(const std::string& line,
   const std::string cmd = tokens[0];
   if (config.echo) std::fprintf(stderr, "[serve] %s\n", line.c_str());
 
+  const EngineVerb* verb = find_engine_verb(cmd);
   std::string id;
   try {
-    const Params params = parse_params(tokens);
+    Params params = parse_params(tokens);
     id = params.get("id", "req-" + std::to_string(++auto_id_));
 
-    auto spec_for = [&] { return resolve_spec(params, config.train_steps_cap); };
-
-    // Admission control (--max-queued): resolve the home shard and shed
-    // *before* any work happens -- no build started, no claims taken, not
-    // counted submitted -- when the shard's engine backlog plus its
-    // deferred (parsed-but-unsubmitted) slots are at the bound. Per shard:
-    // a burst into one shard sheds without touching warm traffic homed on
-    // the others.
-    auto admit = [&](const ModelSpec& spec) -> Shard& {
+    if (verb != nullptr) {
+      // Check the whole line before any side effect (docs/PROTOCOL.md
+      // §3): a rejected line starts no build, takes no claims and is not
+      // counted submitted. Admission control (--max-queued) sheds when the
+      // home shard's engine backlog plus its deferred (parsed-but-
+      // unsubmitted) slots are at the bound. Per shard: a burst into one
+      // shard sheds without touching warm traffic homed on the others.
+      const ModelSpec spec = resolve_spec(params, config.train_steps_cap);
       const size_t index = router_.shard_for(spec);
       Shard& home = router_.shard(index);
       if (config.max_queued > 0) {
@@ -939,10 +928,76 @@ bool RequestRouter::Session::handle_line(const std::string& line,
                               "); retry later");
         }
       }
-      return home;
-    };
+      if (const std::string missing = first_missing(*verb, params);
+          !missing.empty()) {
+        throw std::invalid_argument("missing parameter: " + missing);
+      }
+      auto ctx = std::make_shared<EngineRequest>();
+      ctx->verb = verb;
+      ctx->id = id;
+      ctx->params = std::move(params);
+      if (verb->parse != nullptr) verb->parse(*ctx);
 
-    if (cmd == "quit") {
+      // The line is accepted: arm the slot, claim its artifact paths and
+      // start the build. Cold builds run on the pool behind the store's
+      // shared future; the engine submission happens from this session's
+      // advance path once the future resolves, so intake never stalls on
+      // zoo training and no engine worker parks on a build.
+      ctx->engine = &home.engine;
+      ctx->stamps.parse = std::chrono::steady_clock::now();
+      ctx->deferred.arm(home.deferred);
+      ctx->build = home.store.get_async(spec);
+      ctx->seq = ++slot_seq_;
+      for (const std::string& name : verb->reads) {
+        ctx->reads.push_back(artifact_key(ctx->params.get(name, "")));
+        pending_reads_.emplace(ctx->reads.back(), ctx->seq);
+      }
+      for (const std::string& name : verb->writes) {
+        const std::string path = ctx->params.get(name, "");
+        if (path.empty()) continue;
+        ctx->writes.push_back(artifact_key(path));
+        pending_writes_.emplace(ctx->writes.back(), ctx->seq);
+      }
+      ++submitted_;
+
+      // A reader defers behind earlier writers of its paths; a writer also
+      // behind earlier readers (they must load the old bytes) and writers
+      // (last-writer-wins in request order). A read/write pair on one path
+      // therefore chains in request order instead of deadlocking.
+      auto advance = [this, ctx] {
+        if (!claimed_before(pending_writes_, ctx->reads, ctx->seq) &&
+            !claimed_before(pending_writes_, ctx->writes, ctx->seq) &&
+            !claimed_before(pending_reads_, ctx->writes, ctx->seq)) {
+          ctx->verb->submit(ctx, /*block=*/false);
+        }
+      };
+      advance();
+      pending_.push_back(PendingOutput{
+          std::move(advance),
+          [ctx] {
+            return !ctx->fail_error.empty() ||
+                   (ctx->submitted && future_ready(ctx->settled));
+          },
+          [this, ctx]() -> std::string {
+            // Blocking is the contract here: finalizers run in request
+            // order, so every earlier claim on these paths has already
+            // been released (its reads/writes happened before it settled)
+            // and the gate can be bypassed.
+            ctx->verb->submit(ctx, /*block=*/true);
+            const bool built = ctx->fail_error.empty();
+            if (built) ctx->settled.wait();
+            const bool ok = built && ctx->ok;
+            ++(ok ? completed_ : failed_);
+            record_request(*router_.metrics_,
+                           static_cast<size_t>(ctx->verb - kEngineVerbs),
+                           ctx->stamps, ok);
+            // The paths stop being owed once the response flushed.
+            release_claims(pending_reads_, ctx->reads, ctx->seq);
+            release_claims(pending_writes_, ctx->writes, ctx->seq);
+            return built ? ctx->response
+                         : error_line(ctx->id, ctx->verb->name, ctx->fail_error);
+          }});
+    } else if (cmd == "quit") {
       quit_ = true;
     } else if (cmd == "stats") {
       // Deferred like every other verb (the line flushes in request
@@ -999,253 +1054,6 @@ bool RequestRouter::Session::handle_line(const std::string& line,
             json << "]}";
             return json.str();
           }});
-    } else if (cmd == "insert") {
-      auto ctx = std::make_shared<InsertCtx>();
-      const ModelSpec spec = spec_for();
-      Shard& home = admit(spec);
-      ctx->engine = &home.engine;
-      ctx->stamps.parse = std::chrono::steady_clock::now();
-      ctx->deferred.arm(home.deferred);
-      // Cold builds run on the pool behind the store's shared future; the
-      // engine submission happens from this session's advance path once
-      // the future resolves, so intake never stalls on zoo training and
-      // no engine worker parks on a build.
-      ctx->build = home.store.get_async(spec);
-      ctx->id = id;
-      ctx->scheme = params.get("scheme", "emmark");
-      ctx->key = key_from(params);
-      ctx->seed_from_id = params.get_int("seed-from-id", 0) != 0;
-      ctx->codes_path = params.get("codes", "");
-      ctx->record_path = params.get("record", "");
-      ctx->evidence_path = params.get("evidence", "");
-      ctx->owner = params.get("owner", "owner");
-
-      // Every parse step that can throw has run; only now claim the
-      // artifact paths (a malformed line must not leave stale claims
-      // that would serialize the rest of the session).
-      std::vector<std::string> writes;
-      for (const std::string* path :
-           {&ctx->codes_path, &ctx->record_path, &ctx->evidence_path}) {
-        if (!path->empty()) writes.push_back(artifact_key(*path));
-      }
-      const uint64_t seq = ++slot_seq_;
-      for (const std::string& key : writes) pending_writes_.emplace(key, seq);
-
-      ++submitted_;
-      // A writer defers behind earlier readers of its paths (they must
-      // load the old bytes) and earlier writers (last-writer-wins in
-      // request order).
-      auto advance = [this, ctx, writes, seq] {
-        if (!claimed_before(pending_writes_, writes, seq) &&
-            !claimed_before(pending_reads_, writes, seq)) {
-          submit_insert(ctx, /*block=*/false);
-        }
-      };
-      advance();
-      pending_.push_back(PendingOutput{
-          std::move(advance),
-          [ctx] {
-            return !ctx->fail_error.empty() ||
-                   (ctx->result != nullptr && future_ready(*ctx->result));
-          },
-          [this, ctx, writes, seq, id]() -> std::string {
-            ClaimRelease release{pending_writes_, writes, seq};
-            RequestRecord record{*router_.metrics_, kInsertVerb, ctx->stamps};
-            // Blocking is the contract here: finalizers run in request
-            // order, so every earlier claim on these paths has already
-            // been released (its reads/writes happened before its future
-            // resolved) and the gate can be bypassed.
-            submit_insert(ctx, /*block=*/true);
-            if (!ctx->fail_error.empty()) {
-              ++failed_;
-              return error_line(id, "insert", ctx->fail_error);
-            }
-            const WatermarkEngine::InsertResult slot = ctx->result->get();
-            if (!slot.ok) {
-              ++failed_;
-              return error_line(id, "insert", slot.error);
-            }
-            if (!ctx->save_error.empty()) {
-              ++failed_;
-              return error_line(id, "insert", ctx->save_error);
-            }
-            ++completed_;
-            record.ok = true;
-            return "{\"id\":\"" + json_escape(id) +
-                   "\",\"cmd\":\"insert\",\"ok\":true,\"scheme\":\"" +
-                   json_escape(slot.record.scheme()) +
-                   "\",\"total_bits\":" + std::to_string(ctx->total_bits) +
-                   ",\"seed\":" + std::to_string(slot.key.seed) +
-                   ctx->artifacts_json + "}";
-          }});
-    } else if (cmd == "extract") {
-      auto ctx = std::make_shared<ExtractCtx>();
-      const ModelSpec spec = spec_for();
-      Shard& home = admit(spec);
-      ctx->engine = &home.engine;
-      ctx->stamps.parse = std::chrono::steady_clock::now();
-      ctx->deferred.arm(home.deferred);
-      ctx->build = home.store.get_async(spec);
-      ctx->id = id;
-      ctx->codes_path = params.require("codes");
-      ctx->record_path = params.require("record");
-
-      const std::vector<std::string> reads = {artifact_key(ctx->codes_path),
-                                              artifact_key(ctx->record_path)};
-      const uint64_t seq = ++slot_seq_;
-      for (const std::string& key : reads) pending_reads_.emplace(key, seq);
-
-      ++submitted_;
-      // A reader defers only behind earlier writers of its paths; later
-      // writers defer behind it (see the insert gate), so a read/write
-      // pair on one path chains in request order instead of deadlocking.
-      auto advance = [this, ctx, reads, seq] {
-        if (!claimed_before(pending_writes_, reads, seq)) {
-          submit_extract(ctx, /*block=*/false);
-        }
-      };
-      advance();
-      pending_.push_back(PendingOutput{
-          std::move(advance),
-          [ctx] {
-            return !ctx->fail_error.empty() ||
-                   (ctx->result != nullptr && future_ready(*ctx->result));
-          },
-          [this, ctx, reads, seq, id]() -> std::string {
-            ClaimRelease release{pending_reads_, reads, seq};
-            RequestRecord record{*router_.metrics_, kExtractVerb, ctx->stamps};
-            submit_extract(ctx, /*block=*/true);
-            if (!ctx->fail_error.empty()) {
-              ++failed_;
-              return error_line(id, "extract", ctx->fail_error);
-            }
-            const WatermarkEngine::ExtractResult slot = ctx->result->get();
-            if (!slot.ok) {
-              ++failed_;
-              return error_line(id, "extract", slot.error);
-            }
-            ++completed_;
-            record.ok = true;
-            return "{\"id\":\"" + json_escape(id) +
-                   "\",\"cmd\":\"extract\",\"ok\":true,\"scheme\":\"" +
-                   json_escape(ctx->record.scheme()) +
-                   "\",\"wer_pct\":" + json_double(slot.report.wer_pct()) +
-                   ",\"matched_bits\":" + std::to_string(slot.report.matched_bits) +
-                   ",\"total_bits\":" + std::to_string(slot.report.total_bits) +
-                   ",\"strength_log10\":" +
-                   json_double(slot.report.strength_log10()) + "}";
-          }});
-    } else if (cmd == "trace") {
-      auto ctx = std::make_shared<TraceCtx>();
-      const ModelSpec spec = spec_for();
-      Shard& home = admit(spec);
-      ctx->engine = &home.engine;
-      ctx->stamps.parse = std::chrono::steady_clock::now();
-      ctx->deferred.arm(home.deferred);
-      ctx->build = home.store.get_async(spec);
-      ctx->id = id;
-      ctx->codes_path = params.require("codes");
-      ctx->set_path = params.require("set");
-      ctx->min_wer_pct = params.get_double("min-wer", -1.0);
-
-      const std::vector<std::string> reads = {artifact_key(ctx->codes_path),
-                                              artifact_key(ctx->set_path)};
-      const uint64_t seq = ++slot_seq_;
-      for (const std::string& key : reads) pending_reads_.emplace(key, seq);
-
-      ++submitted_;
-      auto advance = [this, ctx, reads, seq] {
-        if (!claimed_before(pending_writes_, reads, seq)) {
-          submit_trace(ctx, /*block=*/false);
-        }
-      };
-      advance();
-      pending_.push_back(PendingOutput{
-          std::move(advance),
-          [ctx] {
-            return !ctx->fail_error.empty() ||
-                   (ctx->result != nullptr && future_ready(*ctx->result));
-          },
-          [this, ctx, reads, seq, id]() -> std::string {
-            ClaimRelease release{pending_reads_, reads, seq};
-            RequestRecord record{*router_.metrics_, kTraceVerb, ctx->stamps};
-            submit_trace(ctx, /*block=*/true);
-            if (!ctx->fail_error.empty()) {
-              ++failed_;
-              return error_line(id, "trace", ctx->fail_error);
-            }
-            const WatermarkEngine::TraceBatchResult slot = ctx->result->get();
-            if (!slot.ok) {
-              ++failed_;
-              return error_line(id, "trace", slot.error);
-            }
-            ++completed_;
-            record.ok = true;
-            return "{\"id\":\"" + json_escape(id) +
-                   "\",\"cmd\":\"trace\",\"ok\":true,\"device\":\"" +
-                   json_escape(slot.trace.device_id) + "\",\"matched\":" +
-                   (slot.trace.device_id.empty() ? "false" : "true") +
-                   ",\"wer_pct\":" + json_double(slot.trace.wer_pct) +
-                   ",\"runner_up_wer_pct\":" +
-                   json_double(slot.trace.runner_up_wer_pct) +
-                   ",\"strength_log10\":" + json_double(slot.trace.strength_log10) +
-                   "}";
-          }});
-    } else if (cmd == "verify") {
-      // Arbiter-side audit: an engine verb like the rest, so the evidence
-      // load, suspect copy and WER re-extraction all run on a worker.
-      auto ctx = std::make_shared<VerifyCtx>();
-      const ModelSpec spec = spec_for();
-      Shard& home = admit(spec);
-      ctx->engine = &home.engine;
-      ctx->stamps.parse = std::chrono::steady_clock::now();
-      ctx->deferred.arm(home.deferred);
-      ctx->build = home.store.get_async(spec);
-      ctx->id = id;
-      ctx->codes_path = params.require("codes");
-      ctx->evidence_path = params.require("evidence");
-      ctx->min_wer_pct = params.get_double("min-wer", config.min_wer_pct);
-
-      const std::vector<std::string> reads = {artifact_key(ctx->codes_path),
-                                              artifact_key(ctx->evidence_path)};
-      const uint64_t seq = ++slot_seq_;
-      for (const std::string& key : reads) pending_reads_.emplace(key, seq);
-
-      ++submitted_;
-      auto advance = [this, ctx, reads, seq] {
-        if (!claimed_before(pending_writes_, reads, seq)) {
-          submit_verify(ctx, /*block=*/false);
-        }
-      };
-      advance();
-      pending_.push_back(PendingOutput{
-          std::move(advance),
-          [ctx] {
-            return !ctx->fail_error.empty() ||
-                   (ctx->result != nullptr && future_ready(*ctx->result));
-          },
-          [this, ctx, reads, seq, id]() -> std::string {
-            ClaimRelease release{pending_reads_, reads, seq};
-            RequestRecord record{*router_.metrics_, kVerifyVerb, ctx->stamps};
-            submit_verify(ctx, /*block=*/true);
-            if (!ctx->fail_error.empty()) {
-              ++failed_;
-              return error_line(id, "verify", ctx->fail_error);
-            }
-            const WatermarkEngine::VerifyResult slot = ctx->result->get();
-            if (!slot.ok) {
-              ++failed_;
-              return error_line(id, "verify", slot.error);
-            }
-            ++completed_;
-            record.ok = true;
-            return "{\"id\":\"" + json_escape(id) +
-                   "\",\"cmd\":\"verify\",\"ok\":true,\"verified\":" +
-                   (slot.verified ? "true" : "false") + ",\"owner\":\"" +
-                   json_escape(slot.owner) + "\",\"scheme\":\"" +
-                   json_escape(slot.scheme) + "\",\"why\":\"" +
-                   json_escape(slot.why) + "\"}";
-          }});
     } else if (cmd == "metrics") {
       // Prometheus text exposition (docs/PROTOCOL.md §5): the one verb
       // whose response is multi-line, terminated by a `# EOF` line. The
@@ -1257,19 +1065,18 @@ bool RequestRouter::Session::handle_line(const std::string& line,
           /*advance=*/{}, [] { return true; },
           [this]() -> std::string { return router_.metrics_text(); }});
     } else {
-      throw std::invalid_argument(
-          "unknown command: " + cmd +
-          " (known: insert extract verify trace stats metrics quit)");
+      throw std::invalid_argument("unknown command: " + cmd + " (known: " +
+                                  engine_verb_names() +
+                                  " stats metrics quit)");
     }
   } catch (const OverloadError& e) {
     // Structured fast-fail: a normal error line plus "shed":true so
     // clients can tell overload from request failure, and the per-verb
-    // failure counters move with it (the shed counter already did, in
-    // admit()).
+    // failure counters move with it (the shed counter already did).
     ++failed_;
-    const size_t verb = verb_index(cmd);
-    router_.metrics_->requests[verb]->inc();
-    router_.metrics_->failures[verb]->inc();
+    const size_t index = static_cast<size_t>(verb - kEngineVerbs);
+    router_.metrics_->requests[index]->inc();
+    router_.metrics_->failures[index]->inc();
     const std::string json = error_line(id, cmd, e.what(), "shed");
     pending_.push_back(PendingOutput{{}, [] { return true; },
                                      [json]() -> std::string { return json; }});

@@ -1,9 +1,6 @@
-// RequestRouter: the transport-agnostic core of the serving protocol.
-//
-// PR 3's daemon fused three things into one loop: the newline-delimited
-// JSON protocol, the stdio transport, and a single ModelStore + engine
-// backend. This splits them so the stdio daemon and the socket front door
-// (src/net/server.h) share one implementation byte for byte:
+// RequestRouter: the transport-agnostic core of the serving protocol. The
+// stdio daemon and the socket front door (src/net/server.h) both drive it,
+// so they answer byte for byte alike:
 //
 //   * RequestRouter owns the backend shards. Each shard is an independent
 //     ModelStore + async WatermarkEngine pair; a ShardRouter consistent-
@@ -17,14 +14,15 @@
 //     store and engine counters are per-shard (shared by every session on
 //     the same router).
 //
-// Every verb runs as a lazy pipeline: handle_line only parses the request,
-// starts the model build via ModelStore::get_async, and queues a response
-// slot. The engine submission is deferred until the build future resolves
-// and the engine queue has room (WatermarkEngine::try_submit), retried on
-// every poll(); artifact file I/O and the suspect deep copy happen inside
-// the request's lazy factory on an engine worker. The intake thread's cost
-// per line is parse + queue push -- it never blocks on a cold build, a
-// full engine queue, or the filesystem.
+// The engine verbs (insert, extract, verify, trace) share one lazy
+// pipeline, driven by a verb table in router.cpp: handle_line checks the
+// whole line, then starts the model build via ModelStore::get_async and
+// queues a response slot. The engine submission is deferred until the
+// build future resolves and the engine queue has room
+// (WatermarkEngine::try_submit), retried on every poll(); artifact file
+// I/O, the model deep copy and the response rendering happen on an engine
+// worker. The intake thread's cost per line is parse + queue push -- it
+// never blocks on a cold build, a full engine queue, or the filesystem.
 //
 // The wire protocol itself is specified normatively in docs/PROTOCOL.md;
 // the architecture (layering, threading, sharding) in docs/ARCHITECTURE.md.
@@ -81,6 +79,10 @@ std::string request_id(const std::vector<std::string>& tokens);
 
 /// The verbs that run on an engine shard against a model spec.
 bool is_engine_verb(const std::string& cmd);
+
+/// Those verbs in protocol order, space-separated ("insert extract verify
+/// trace"), as the unknown-verb errors list them.
+const std::string& engine_verb_names();
 
 /// A request line checked without running it, in the session's own order:
 /// parameters, then (engine verbs) the spec, then the required-parameter
@@ -149,8 +151,8 @@ struct RouterConfig {
   size_t engine_queue = 0;
   /// Default trace/verify WER gate (percent).
   double min_wer_pct = 90.0;
-  /// Backend shard count (>= 1). One shard reproduces PR 3's daemon
-  /// exactly; N shards partition the spec key space N ways.
+  /// Backend shard count (>= 1): N shards partition the spec key space N
+  /// ways.
   size_t shards = 1;
   /// Admission-control bound per shard (0 = never shed): a request whose
   /// home shard already holds this many queued requests -- engine
@@ -166,16 +168,16 @@ struct RouterConfig {
   bool echo = false;
 };
 
-/// Consistent-hash ring over shard indices. Each shard contributes a fixed
-/// number of virtual points hashed from "shard-<i>#<v>" (fnv1a64 finished
-/// through splitmix64, so the mapping is byte-stable across platforms and
-/// runs); a key lands on the first point clockwise from its own hash. Growing the shard set by one
-/// therefore remaps only ~1/N of the key space -- the property that makes
-/// the same ring usable for process-level sharding later, where a remap
-/// means losing a warm cache.
+/// Consistent-hash ring over shard indices. Each shard contributes 64
+/// virtual points hashed from "shard-<i>#<v>" (fnv1a64 finished through
+/// splitmix64, so the mapping is byte-stable across platforms and runs); a
+/// key lands on the first point clockwise from its own hash. Growing the
+/// shard set by one therefore remaps only ~1/N of the key space -- the
+/// property that makes the same ring usable for process-level sharding,
+/// where a remap means losing a warm cache.
 class ShardRouter {
  public:
-  explicit ShardRouter(size_t shards, size_t vnodes_per_shard = 64);
+  explicit ShardRouter(size_t shards);
 
   size_t shards() const { return shards_; }
   size_t shard_for(const std::string& key) const;

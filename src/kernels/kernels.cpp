@@ -144,11 +144,6 @@ Level active_level() {
   return forced >= 0 ? static_cast<Level>(forced) : default_level();
 }
 
-bool gemm_prefetch_enabled() {
-  static const bool enabled = env_or("EMMARK_GEMM_PREFETCH", "1") != "0";
-  return enabled;
-}
-
 const Ops& ops_for(Level level) {
   const Ops* table = table_for(level);
   if (table == nullptr || !cpu_has(level)) {

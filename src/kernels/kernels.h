@@ -69,13 +69,6 @@ Level default_level();
 /// if one is active, otherwise default_level().
 Level active_level();
 
-/// EMMARK_GEMM_PREFETCH knob (default on; "0" disables): when set, the
-/// vector gemm_panel_f32 levels and the panel packers issue software
-/// prefetches for the next panel row / next weight row. Prefetch never
-/// changes results, only cache timing, so it needs no bit-identity lane
-/// of its own. Resolved once and cached.
-bool gemm_prefetch_enabled();
-
 // --- packed-int4 nibble codec ------------------------------------------------
 //
 // QuantBits::kInt4 tensors store two codes per byte: the EVEN column in the

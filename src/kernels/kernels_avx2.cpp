@@ -194,7 +194,6 @@ void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
   // dst stays in registers across the whole K-panel: four accumulators per
   // 32-output block, strict ascending-p adds (the same per-output IEEE
   // sequence as the axpy sweep), explicit mul + add (no FMA).
-  const bool prefetch = gemm_prefetch_enabled();
   int64_t j = 0;
   for (; j + 32 <= jb; j += 32) {
     __m256 acc0 = _mm256_loadu_ps(dst + j);
@@ -204,10 +203,8 @@ void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
     const float* row = panel + j;
     const float* xp = x;
     for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      if (prefetch) {
-        _mm_prefetch(reinterpret_cast<const char*>(row + panel_stride),
-                     _MM_HINT_T0);
-      }
+      _mm_prefetch(reinterpret_cast<const char*>(row + panel_stride),
+                   _MM_HINT_T0);
       const __m256 xv = _mm256_set1_ps(*xp);
       acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(xv, _mm256_loadu_ps(row)));
       acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(xv, _mm256_loadu_ps(row + 8)));

@@ -129,7 +129,6 @@ void gemm_panel_f32_neon(float* dst, const float* panel, int64_t panel_stride,
   // dst stays in registers across the whole K-panel: four accumulators per
   // 16-output block, strict ascending-p adds (the same per-output IEEE
   // sequence as the axpy sweep), explicit mul + add (no FMA).
-  const bool prefetch = gemm_prefetch_enabled();
   int64_t j = 0;
   for (; j + 16 <= jb; j += 16) {
     float32x4_t acc0 = vld1q_f32(dst + j);
@@ -139,7 +138,7 @@ void gemm_panel_f32_neon(float* dst, const float* panel, int64_t panel_stride,
     const float* row = panel + j;
     const float* xp = x;
     for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      if (prefetch) __builtin_prefetch(row + panel_stride);
+      __builtin_prefetch(row + panel_stride);
       const float32x4_t xv = vdupq_n_f32(*xp);
       acc0 = vaddq_f32(acc0, vmulq_f32(xv, vld1q_f32(row)));
       acc1 = vaddq_f32(acc1, vmulq_f32(xv, vld1q_f32(row + 4)));

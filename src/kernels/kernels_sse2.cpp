@@ -137,7 +137,6 @@ void gemm_panel_f32_sse2(float* dst, const float* panel, int64_t panel_stride,
   // dst stays in registers across the whole K-panel: four accumulators per
   // 16-output block, strict ascending-p adds (the same per-output IEEE
   // sequence as the axpy sweep), explicit mul + add (no FMA).
-  const bool prefetch = gemm_prefetch_enabled();
   int64_t j = 0;
   for (; j + 16 <= jb; j += 16) {
     __m128 acc0 = _mm_loadu_ps(dst + j);
@@ -147,10 +146,8 @@ void gemm_panel_f32_sse2(float* dst, const float* panel, int64_t panel_stride,
     const float* row = panel + j;
     const float* xp = x;
     for (int64_t p = 0; p < pb; ++p, row += panel_stride, xp += x_stride) {
-      if (prefetch) {
-        _mm_prefetch(reinterpret_cast<const char*>(row + panel_stride),
-                     _MM_HINT_T0);
-      }
+      _mm_prefetch(reinterpret_cast<const char*>(row + panel_stride),
+                   _MM_HINT_T0);
       const __m128 xv = _mm_set1_ps(*xp);
       acc0 = _mm_add_ps(acc0, _mm_mul_ps(xv, _mm_loadu_ps(row)));
       acc1 = _mm_add_ps(acc1, _mm_mul_ps(xv, _mm_loadu_ps(row + 4)));

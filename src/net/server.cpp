@@ -246,9 +246,8 @@ struct FrontDoor::Connection {
     const std::string verb = req.target.substr(4);
     if (!is_engine_verb(verb) && verb != "stats") {
       local_reply(404,
-                  error_line("", verb, "unknown verb: " + verb +
-                                           " (known: insert extract verify "
-                                           "trace stats)"),
+                  error_line("", verb, "unknown verb: " + verb + " (known: " +
+                                           engine_verb_names() + " stats)"),
                   req.close);
       return;
     }

@@ -65,15 +65,14 @@ void gemm_nt(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n, bool accumulate) {
   // B rows become panel columns by copy-transpose; after that the layout
   // is identical to nn and the same panel sweep applies.
-  const bool prefetch = kernels::gemm_prefetch_enabled();
   gemm_nt_packed(a, c, m, k, n, accumulate,
-                 [b, k, prefetch](int64_t p0, int64_t pb, int64_t j0,
-                                  int64_t jb, float* panel) {
+                 [b, k](int64_t p0, int64_t pb, int64_t j0, int64_t jb,
+                        float* panel) {
                    for (int64_t j = 0; j < jb; ++j) {
                      const float* b_row = b + (j0 + j) * k + p0;
                      // Pull the next B row toward L1 while transposing this
                      // one (b_row + k == same K-slice of row j + 1).
-                     if (prefetch && j + 1 < jb) __builtin_prefetch(b_row + k);
+                     if (j + 1 < jb) __builtin_prefetch(b_row + k);
                      for (int64_t p = 0; p < pb; ++p) {
                        panel[p * jb + j] = b_row[p];
                      }

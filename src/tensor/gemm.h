@@ -13,8 +13,9 @@
 // at every SIMD level, so results are bit-identical to the scalar
 // reference. Row blocks fan out to the active ThreadPool above the tile
 // loops (row ownership is exclusive, so thread count cannot change
-// results either). One env knob tunes memory behavior without touching
-// results: EMMARK_GEMM_PREFETCH (default on).
+// results either). The vector microkernels and the panel packers issue
+// software prefetches of the next panel row / weight row; prefetch changes
+// cache timing only, never results.
 #pragma once
 
 #include <cstdint>

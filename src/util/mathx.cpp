@@ -1,5 +1,7 @@
 #include "util/mathx.h"
 
+#include <math.h>  // lgamma_r (POSIX)
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -9,7 +11,10 @@ namespace emmark {
 
 double log_factorial(int64_t n) {
   if (n < 0) throw std::invalid_argument("log_factorial: negative n");
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r: std::lgamma writes the sign to the global `signgam`, a data
+  // race when extraction reports are scored on several threads at once.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double log_binomial_coefficient(int64_t n, int64_t k) {

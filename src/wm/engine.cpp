@@ -44,7 +44,7 @@ uint64_t WatermarkEngine::request_seed(uint64_t base_seed,
 
 // --- single-request executors (shared by the batch and async paths) ---------
 
-WatermarkEngine::InsertResult WatermarkEngine::run_insert(
+WatermarkEngine::InsertResult WatermarkEngine::run(
     const EngineConfig& config, const InsertRequest& request) {
   InsertResult slot;
   slot.id = request.id;
@@ -68,7 +68,7 @@ WatermarkEngine::InsertResult WatermarkEngine::run_insert(
   return slot;
 }
 
-WatermarkEngine::ExtractResult WatermarkEngine::run_extract(
+WatermarkEngine::ExtractResult WatermarkEngine::run(
     const EngineConfig& /*config*/, const ExtractRequest& request) {
   ExtractResult slot;
   slot.id = request.id;
@@ -88,7 +88,7 @@ WatermarkEngine::ExtractResult WatermarkEngine::run_extract(
   return slot;
 }
 
-WatermarkEngine::TraceBatchResult WatermarkEngine::run_trace(
+WatermarkEngine::TraceBatchResult WatermarkEngine::run(
     const EngineConfig& config, const TraceRequest& request) {
   TraceBatchResult slot;
   slot.id = request.id;
@@ -108,7 +108,7 @@ WatermarkEngine::TraceBatchResult WatermarkEngine::run_trace(
   return slot;
 }
 
-WatermarkEngine::VerifyResult WatermarkEngine::run_verify(
+WatermarkEngine::VerifyResult WatermarkEngine::run(
     const EngineConfig& config, const VerifyRequest& request) {
   VerifyResult slot;
   slot.id = request.id;
@@ -139,7 +139,7 @@ std::vector<WatermarkEngine::InsertResult> WatermarkEngine::insert_batch(
     const std::vector<InsertRequest>& requests) const {
   std::vector<InsertResult> results(requests.size());
   parallel_for_index(requests.size(), [&](size_t i) {
-    results[i] = run_insert(config_, requests[i]);
+    results[i] = run(config_, requests[i]);
   });
   return results;
 }
@@ -148,7 +148,7 @@ std::vector<WatermarkEngine::ExtractResult> WatermarkEngine::extract_batch(
     const std::vector<ExtractRequest>& requests) const {
   std::vector<ExtractResult> results(requests.size());
   parallel_for_index(requests.size(), [&](size_t i) {
-    results[i] = run_extract(config_, requests[i]);
+    results[i] = run(config_, requests[i]);
   });
   return results;
 }
@@ -157,7 +157,7 @@ std::vector<WatermarkEngine::TraceBatchResult> WatermarkEngine::trace_batch(
     const std::vector<TraceRequest>& requests) const {
   std::vector<TraceBatchResult> results(requests.size());
   parallel_for_index(requests.size(), [&](size_t i) {
-    results[i] = run_trace(config_, requests[i]);
+    results[i] = run(config_, requests[i]);
   });
   return results;
 }
@@ -205,13 +205,14 @@ void WatermarkEngine::pump() {
   }
 }
 
-template <typename Request, typename Result, typename Callback>
-bool WatermarkEngine::enqueue(Request& request, Callback done,
-                              Result (*runner)(const EngineConfig&, const Request&),
-                              bool blocking, std::future<Result>& out) {
+template <typename Request>
+bool WatermarkEngine::enqueue(Request& request, Callback<Request> done,
+                              bool blocking,
+                              std::future<typename Request::Result>& out) {
+  using Result = typename Request::Result;
   auto promise = std::make_shared<std::promise<Result>>();
 
-  auto reject = [](const Request& req, const Callback& cb,
+  auto reject = [](const Request& req, const Callback<Request>& cb,
                    const std::shared_ptr<std::promise<Result>>& prom,
                    const char* why) {
     Result slot;
@@ -234,8 +235,7 @@ bool WatermarkEngine::enqueue(Request& request, Callback done,
     });
   } else if (accepting_ && queue_.size() >= config_.max_queue) {
     // Refusal leaves `request` and `out` untouched; the caller retries on
-    // a later poll. Checked-and-enqueued under one lock, unlike the
-    // advisory queue_full().
+    // a later poll. Checked and enqueued under one lock.
     return false;
   }
   if (!accepting_) {
@@ -247,12 +247,12 @@ bool WatermarkEngine::enqueue(Request& request, Callback done,
 
   QueuedTask task;
   auto shared_request = std::make_shared<Request>(std::move(request));
-  auto shared_done = std::make_shared<Callback>(std::move(done));
+  auto shared_done = std::make_shared<Callback<Request>>(std::move(done));
   // run fills this box on the worker; publish consumes it strictly after
   // the engine's in-flight count dropped (see pump()).
   auto slot_box = std::make_shared<Result>();
-  task.run = [this, shared_request, slot_box, runner] {
-    *slot_box = runner(config_, *shared_request);
+  task.run = [this, shared_request, slot_box] {
+    *slot_box = run(config_, *shared_request);
     std::lock_guard<std::mutex> count_lock(mutex_);
     slot_box->ok ? ++counters_.completed : ++counters_.failed;
   };
@@ -287,73 +287,16 @@ bool WatermarkEngine::enqueue(Request& request, Callback done,
   return true;
 }
 
-std::future<WatermarkEngine::InsertResult> WatermarkEngine::submit(
-    InsertRequest request, InsertCallback done) {
-  std::future<InsertResult> future;
-  enqueue<InsertRequest, InsertResult, InsertCallback>(
-      request, std::move(done), &WatermarkEngine::run_insert,
-      /*blocking=*/true, future);
-  return future;
-}
-
-std::future<WatermarkEngine::ExtractResult> WatermarkEngine::submit(
-    ExtractRequest request, ExtractCallback done) {
-  std::future<ExtractResult> future;
-  enqueue<ExtractRequest, ExtractResult, ExtractCallback>(
-      request, std::move(done), &WatermarkEngine::run_extract,
-      /*blocking=*/true, future);
-  return future;
-}
-
-std::future<WatermarkEngine::TraceBatchResult> WatermarkEngine::submit(
-    TraceRequest request, TraceCallback done) {
-  std::future<TraceBatchResult> future;
-  enqueue<TraceRequest, TraceBatchResult, TraceCallback>(
-      request, std::move(done), &WatermarkEngine::run_trace,
-      /*blocking=*/true, future);
-  return future;
-}
-
-std::future<WatermarkEngine::VerifyResult> WatermarkEngine::submit(
-    VerifyRequest request, VerifyCallback done) {
-  std::future<VerifyResult> future;
-  enqueue<VerifyRequest, VerifyResult, VerifyCallback>(
-      request, std::move(done), &WatermarkEngine::run_verify,
-      /*blocking=*/true, future);
-  return future;
-}
-
-bool WatermarkEngine::try_submit(InsertRequest& request,
-                                 std::future<InsertResult>& out,
-                                 InsertCallback done) {
-  return enqueue<InsertRequest, InsertResult, InsertCallback>(
-      request, std::move(done), &WatermarkEngine::run_insert,
-      /*blocking=*/false, out);
-}
-
-bool WatermarkEngine::try_submit(ExtractRequest& request,
-                                 std::future<ExtractResult>& out,
-                                 ExtractCallback done) {
-  return enqueue<ExtractRequest, ExtractResult, ExtractCallback>(
-      request, std::move(done), &WatermarkEngine::run_extract,
-      /*blocking=*/false, out);
-}
-
-bool WatermarkEngine::try_submit(TraceRequest& request,
-                                 std::future<TraceBatchResult>& out,
-                                 TraceCallback done) {
-  return enqueue<TraceRequest, TraceBatchResult, TraceCallback>(
-      request, std::move(done), &WatermarkEngine::run_trace,
-      /*blocking=*/false, out);
-}
-
-bool WatermarkEngine::try_submit(VerifyRequest& request,
-                                 std::future<VerifyResult>& out,
-                                 VerifyCallback done) {
-  return enqueue<VerifyRequest, VerifyResult, VerifyCallback>(
-      request, std::move(done), &WatermarkEngine::run_verify,
-      /*blocking=*/false, out);
-}
+// The request types submit()/try_submit() serve.
+using Engine = WatermarkEngine;
+template bool Engine::enqueue(Engine::InsertRequest&, Callback<Engine::InsertRequest>,
+                              bool, std::future<Engine::InsertResult>&);
+template bool Engine::enqueue(Engine::ExtractRequest&, Callback<Engine::ExtractRequest>,
+                              bool, std::future<Engine::ExtractResult>&);
+template bool Engine::enqueue(Engine::TraceRequest&, Callback<Engine::TraceRequest>,
+                              bool, std::future<Engine::TraceBatchResult>&);
+template bool Engine::enqueue(Engine::VerifyRequest&, Callback<Engine::VerifyRequest>,
+                              bool, std::future<Engine::VerifyResult>&);
 
 void WatermarkEngine::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -381,11 +324,6 @@ void WatermarkEngine::shutdown() {
 size_t WatermarkEngine::pending() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size() + in_flight_;
-}
-
-bool WatermarkEngine::queue_full() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() >= config_.max_queue;
 }
 
 WatermarkEngine::Counters WatermarkEngine::counters() const {

@@ -8,9 +8,10 @@
 //   * Batched (synchronous): insert_batch / extract_batch / trace_batch fan
 //     a request vector out on the thread pool and block until every slot is
 //     filled, in request order.
-//   * Asynchronous (service): submit() enqueues one request on a bounded
-//     queue and returns a std::future immediately; worker tasks drain the
-//     queue on the shared ThreadPool. try_submit() is the non-blocking
+//   * Asynchronous (service): submit() enqueues one request of any type on
+//     a bounded queue and returns a std::future of its result type
+//     (Request::Result) immediately; worker tasks drain the queue on the
+//     shared ThreadPool. try_submit() is the non-blocking
 //     variant for latency-critical callers (the server event loop): a full
 //     queue returns false instead of parking the submitter. An optional
 //     completion callback fires on the worker right before the future
@@ -63,6 +64,7 @@
 #include <future>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -99,7 +101,16 @@ class WatermarkEngine {
     uint64_t cancelled = 0;  // queued requests cancelled by shutdown()
   };
 
+  struct InsertResult;
+  struct ExtractResult;
+  struct TraceBatchResult;
+  struct VerifyResult;
+
+  // Each request type names the result type it resolves to (Result), which
+  // is what submit()/try_submit() dispatch on.
+
   struct InsertRequest {
+    using Result = InsertResult;
     std::string id;                           // unique within the workload
     std::string scheme = "emmark";            // registry key
     QuantizedModel* model = nullptr;          // watermarked in place
@@ -123,6 +134,7 @@ class WatermarkEngine {
   };
 
   struct ExtractRequest {
+    using Result = ExtractResult;
     std::string id;
     const QuantizedModel* suspect = nullptr;
     const QuantizedModel* original = nullptr;
@@ -148,6 +160,7 @@ class WatermarkEngine {
   };
 
   struct TraceRequest {
+    using Result = TraceBatchResult;
     std::string id;
     const QuantizedModel* suspect = nullptr;
     const QuantizedModel* original = nullptr;
@@ -173,6 +186,7 @@ class WatermarkEngine {
   /// verb, so a serving layer can run it off the intake thread like every
   /// other request.
   struct VerifyRequest {
+    using Result = VerifyResult;
     std::string id;
     const QuantizedModel* suspect = nullptr;
     const QuantizedModel* original = nullptr;
@@ -199,10 +213,10 @@ class WatermarkEngine {
     std::string why;  // human-readable reason when verified=false
   };
 
-  using InsertCallback = std::function<void(const InsertResult&)>;
-  using ExtractCallback = std::function<void(const ExtractResult&)>;
-  using TraceCallback = std::function<void(const TraceBatchResult&)>;
-  using VerifyCallback = std::function<void(const VerifyResult&)>;
+  /// Completion callback of an async request: runs on the executing
+  /// worker with the result the future is about to deliver.
+  template <typename Request>
+  using Callback = std::function<void(const typename Request::Result&)>;
 
   explicit WatermarkEngine(EngineConfig config = {});
   ~WatermarkEngine();
@@ -221,15 +235,21 @@ class WatermarkEngine {
   std::vector<TraceBatchResult> trace_batch(const std::vector<TraceRequest>& requests) const;
 
   // --- asynchronous entry points --------------------------------------------
+  // Both serve the four request types above; Request is deduced from the
+  // first argument.
+
   /// Enqueues the request and returns immediately (unless the queue is
   /// full, which blocks until space frees). The optional callback runs on
   /// the worker that executed the request, with the same result the future
   /// delivers; callback exceptions are swallowed. After shutdown() the
   /// future resolves at once with an ok=false rejection slot.
-  std::future<InsertResult> submit(InsertRequest request, InsertCallback done = {});
-  std::future<ExtractResult> submit(ExtractRequest request, ExtractCallback done = {});
-  std::future<TraceBatchResult> submit(TraceRequest request, TraceCallback done = {});
-  std::future<VerifyResult> submit(VerifyRequest request, VerifyCallback done = {});
+  template <typename Request>
+  std::future<typename Request::Result> submit(Request request,
+                                               Callback<Request> done = {}) {
+    std::future<typename Request::Result> future;
+    enqueue(request, std::move(done), /*blocking=*/true, future);
+    return future;
+  }
 
   /// Non-blocking submit: never parks the caller. Returns false -- leaving
   /// `request` and `out` untouched -- when the queue is at config.max_queue,
@@ -237,14 +257,11 @@ class WatermarkEngine {
   /// was accepted (out becomes the result future) or the engine is shut
   /// down (out resolves at once with an ok=false rejection slot, exactly
   /// like submit() after shutdown). A true return consumes the request.
-  bool try_submit(InsertRequest& request, std::future<InsertResult>& out,
-                  InsertCallback done = {});
-  bool try_submit(ExtractRequest& request, std::future<ExtractResult>& out,
-                  ExtractCallback done = {});
-  bool try_submit(TraceRequest& request, std::future<TraceBatchResult>& out,
-                  TraceCallback done = {});
-  bool try_submit(VerifyRequest& request, std::future<VerifyResult>& out,
-                  VerifyCallback done = {});
+  template <typename Request>
+  bool try_submit(Request& request, std::future<typename Request::Result>& out,
+                  Callback<Request> done = {}) {
+    return enqueue(request, std::move(done), /*blocking=*/false, out);
+  }
 
   /// Blocks until every submitted request has completed and no worker task
   /// remains scheduled.
@@ -259,12 +276,6 @@ class WatermarkEngine {
   /// ready is never counted (results publish after the in-flight count
   /// drops -- see the file comment).
   size_t pending() const;
-
-  /// True when the next submit() would block on backpressure (queue at
-  /// config.max_queue). Advisory -- the state can change before a
-  /// subsequent submit -- callers that must stay non-blocking should use
-  /// try_submit(), which checks and enqueues under one lock.
-  bool queue_full() const;
 
   /// Snapshot of the async-path lifetime counters.
   Counters counters() const;
@@ -289,15 +300,16 @@ class WatermarkEngine {
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
-  template <typename Request, typename Result, typename Callback>
-  bool enqueue(Request& request, Callback done,
-               Result (*runner)(const EngineConfig&, const Request&),
-               bool blocking, std::future<Result>& out);
+  /// Defined (and instantiated for each request type) in engine.cpp.
+  template <typename Request>
+  bool enqueue(Request& request, Callback<Request> done, bool blocking,
+               std::future<typename Request::Result>& out);
 
-  static InsertResult run_insert(const EngineConfig& config, const InsertRequest& request);
-  static ExtractResult run_extract(const EngineConfig& config, const ExtractRequest& request);
-  static TraceBatchResult run_trace(const EngineConfig& config, const TraceRequest& request);
-  static VerifyResult run_verify(const EngineConfig& config, const VerifyRequest& request);
+  // The single-request executors shared by the batch and async paths.
+  static InsertResult run(const EngineConfig& config, const InsertRequest& request);
+  static ExtractResult run(const EngineConfig& config, const ExtractRequest& request);
+  static TraceBatchResult run(const EngineConfig& config, const TraceRequest& request);
+  static VerifyResult run(const EngineConfig& config, const VerifyRequest& request);
 
   size_t worker_cap() const;
   void pump();
