@@ -5,7 +5,7 @@
 // within a single layer -- the largest one) over the largest model-zoo
 // config at several thread counts via ThreadPool::ScopedOverride. Phase 2
 // pins the pool at one thread and sweeps every supported kernel level
-// (scalar / sse2 / avx2 / neon) through the same paths, so the SIMD
+// (scalar / sse2 / avx2) through the same paths, so the SIMD
 // speedup is attributed separately from threading. A table prints per
 // phase, plus one machine-readable JSON line (the repo's perf trajectory
 // -- scripts/bench_baseline.sh, BENCH_5.json -- is tracked from it).

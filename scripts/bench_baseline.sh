@@ -2,13 +2,13 @@
 # Perf baseline: run the watermark hot-path bench, the eval-path kernel
 # bench, and the serving-stack smoke bench, then assemble one JSON
 # document (machine info, kernel dispatch level, per-phase timings in
-# both ms and ns) for the repo's bench trajectory. BENCH_10.json at the
+# both ms and ns) for the repo's bench trajectory. BENCH_16.json at the
 # repo root is a committed snapshot produced by this script; CI
 # regenerates a fresh one per run and uploads it as an artifact so the
 # trajectory has points per machine.
 #
 # Usage:
-#   scripts/bench_baseline.sh                     # full run -> BENCH_10.json
+#   scripts/bench_baseline.sh                     # full run -> BENCH_16.json
 #   scripts/bench_baseline.sh --quick             # small model, few repeats (CI)
 #   scripts/bench_baseline.sh --out PATH          # custom output path
 #   scripts/bench_baseline.sh --build-dir DIR     # custom build tree (default: build)
@@ -16,7 +16,7 @@
 #                                                 # (one bench_parallel_wm JSON line)
 #                                                 # and compute speedups against it
 #   scripts/bench_baseline.sh --compare FILE      # diff the fresh run against a
-#                                                 # committed baseline (BENCH_10.json);
+#                                                 # committed baseline (BENCH_16.json);
 #                                                 # exit 1 on a >15% regression in a
 #                                                 # comparable pinned phase
 set -euo pipefail
@@ -24,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
-OUT=BENCH_10.json
+OUT=BENCH_16.json
 MODEL=""
 REPEATS=5
 QUICK=0
@@ -250,8 +250,8 @@ same_model = fresh_sum["model"] == base_sum["model"]
 same_cpu = fresh["machine"]["cpu"] == base["machine"]["cpu"]
 
 # Comparable pinned phase = the same kernel level on both sides. The
-# baseline's headline kernel may not even exist on this host (an avx512
-# snapshot gating an sse2 CI lane), and a different fastest level would
+# baseline's headline kernel may not even exist on this host (an avx2
+# snapshot gating an sse2-only CI host), and a different fastest level would
 # make best-vs-best a mismatched comparison -- so every check below pins
 # the baseline's headline kernel row by name inside the fresh run and
 # skips (with a message) when that level was not measured here.

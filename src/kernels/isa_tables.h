@@ -12,10 +12,8 @@ namespace emmark::kernels {
 struct Ops;
 
 namespace detail {
-const Ops* sse2_table();    // kernels_sse2.cpp
-const Ops* avx2_table();    // kernels_avx2.cpp
-const Ops* neon_table();    // kernels_neon.cpp
-const Ops* avx512_table();  // kernels_avx512.cpp
+const Ops* sse2_table();  // kernels_sse2.cpp
+const Ops* avx2_table();  // kernels_avx2.cpp
 }  // namespace detail
 
 }  // namespace emmark::kernels

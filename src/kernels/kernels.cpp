@@ -16,13 +16,15 @@ const Ops kScalarOps = {
     detail::count_matches_scalar,
     detail::collect_le_f64_scalar,
     detail::collect_le_abs8_scalar,
-    detail::stamp_scalar,
-    detail::axpy_f32_scalar,
     detail::axpy_f64_scalar,
     detail::dequant_span_f32_scalar,
     detail::gemm_panel_f32_scalar,
     detail::dequant_packed_span_f32_scalar,
 };
+
+/// Every level, ascending: the order supported_levels() reports and the
+/// names parse_level() accepts.
+constexpr Level kLevels[] = {Level::kScalar, Level::kSse2, Level::kAvx2};
 
 /// Does the running CPU have the level's instructions? (Compile-time
 /// availability of the table is checked separately.)
@@ -35,27 +37,10 @@ bool cpu_has(Level level) {
       return __builtin_cpu_supports("sse2");
     case Level::kAvx2:
       return __builtin_cpu_supports("avx2");
-    case Level::kAvx512:
-      // The TU needs F (doubles/masks), BW (byte compares in
-      // collect_le_abs8), and VL (256-bit mask compares in count_matches).
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vl");
-    case Level::kNeon:
-      return false;
-#elif defined(__aarch64__) || defined(__ARM_NEON)
-    case Level::kSse2:
-    case Level::kAvx2:
-    case Level::kAvx512:
-      return false;
-    case Level::kNeon:
-      return true;
-#else
+#endif
     default:
       return false;
-#endif
   }
-  return false;
 }
 
 const Ops* table_for(Level level) {
@@ -66,10 +51,6 @@ const Ops* table_for(Level level) {
       return detail::sse2_table();
     case Level::kAvx2:
       return detail::avx2_table();
-    case Level::kNeon:
-      return detail::neon_table();
-    case Level::kAvx512:
-      return detail::avx512_table();
   }
   return nullptr;
 }
@@ -85,19 +66,16 @@ const char* to_string(Level level) {
     case Level::kScalar: return "scalar";
     case Level::kSse2: return "sse2";
     case Level::kAvx2: return "avx2";
-    case Level::kNeon: return "neon";
-    case Level::kAvx512: return "avx512";
   }
   return "unknown";
 }
 
 Level parse_level(const std::string& name) {
-  for (Level level : {Level::kScalar, Level::kSse2, Level::kAvx2, Level::kNeon,
-                      Level::kAvx512}) {
+  for (Level level : kLevels) {
     if (name == to_string(level)) return level;
   }
   throw std::invalid_argument("unknown kernel level: " + name +
-                              " (use scalar, sse2, avx2, neon, or avx512)");
+                              " (use scalar, sse2, or avx2)");
 }
 
 bool level_supported(Level level) {
@@ -106,8 +84,7 @@ bool level_supported(Level level) {
 
 std::vector<Level> supported_levels() {
   std::vector<Level> levels;
-  for (Level level : {Level::kScalar, Level::kSse2, Level::kAvx2, Level::kNeon,
-                      Level::kAvx512}) {
+  for (Level level : kLevels) {
     if (level_supported(level)) levels.push_back(level);
   }
   return levels;

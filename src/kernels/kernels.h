@@ -1,20 +1,18 @@
 // Runtime-dispatched SIMD kernels for the watermark and eval hot loops.
 //
-// EmMark's derivation cost is dominated by three inner loops: the Eq. 2-4
-// scoring sweep over every int8 code (score_row), the Eq. 6 delta-compare
-// at extraction (count_matches), and the Eq. 5 stamp (stamp). On top of
-// them sit the threshold scans (collect_le_*) that power the two-pass
-// candidate selection in src/kernels/select.h, and the eval-path
-// microkernels: axpy_f32 / gemm_panel_f32 (the inner loops every blocked
-// GEMM layout in src/tensor/gemm.cpp reduces to -- gemm_panel_f32 is the
-// register-tiled K-panel sweep the drivers now prefer), dequant_span_f32
-// and dequant_packed_span_f32 (int8 / packed-int4 codes x group scale ->
-// fp32, feeding both QuantizedTensor::dequantize and the fused
-// dequant-GEMM), and axpy_f64 (the DCT-II/III accumulate in
-// src/signal/dct.cpp). Each op exists at up to five dispatch levels --
-// scalar, SSE2, AVX2, NEON, AVX-512 -- selected once per process by
-// CPUID-style detection and forceable via EMMARK_KERNEL
-// (scalar|sse2|avx2|neon|avx512, resolved through util/env).
+// EmMark's derivation cost is dominated by the Eq. 2-4 scoring sweep over
+// every int8 code (score_row) and the Eq. 6 delta-compare at extraction
+// (count_matches). On top of them sit the threshold scans (collect_le_*)
+// that power the two-pass candidate selection in src/kernels/select.h,
+// and the eval-path microkernels: gemm_panel_f32 (the register-tiled
+// K-panel sweep every blocked GEMM layout in src/tensor/gemm.cpp reduces
+// to), dequant_span_f32 and dequant_packed_span_f32 (int8 / packed-int4
+// codes x group scale -> fp32, feeding both QuantizedTensor::dequantize
+// and the fused dequant-GEMM), and axpy_f64 (the DCT-II/III accumulate in
+// src/signal/dct.cpp). Each op exists at three dispatch levels -- scalar,
+// SSE2, AVX2 -- selected once per process by CPUID-style detection and
+// forceable via EMMARK_KERNEL (scalar|sse2|avx2, resolved through
+// util/env).
 //
 // The contract every level must honour: **bit-identical results**. The
 // scalar implementation is the semantic reference; a vector level may only
@@ -24,11 +22,9 @@
 // every level the host supports -- placement invariance across hardware is
 // an ownership-proof requirement, not just a nicety.
 //
-// Ops where the access pattern defeats pre-AVX-512 SIMD (the sparse
-// scatter in stamp, the sparse gathers in count_matches below SSE4-gather
-// widths) intentionally share the scalar routine across levels; they stay
-// in the dispatch table so the bit-identity tests cover every level
-// uniformly and so a wider ISA can specialize them later.
+// The Ops table holds only ops whose code differs by level. The Eq. 5
+// stamp is a sparse scatter no level here can vectorize, so it is a plain
+// function (kernels::stamp below) rather than a table slot.
 //
 // Adding an ISA: see docs/ARCHITECTURE.md, "Kernel dispatch".
 #pragma once
@@ -44,13 +40,11 @@ enum class Level : int32_t {
   kScalar = 0,
   kSse2 = 1,
   kAvx2 = 2,
-  kNeon = 3,
-  kAvx512 = 4,
 };
 
 const char* to_string(Level level);
 
-/// Parses an EMMARK_KERNEL value ("scalar"|"sse2"|"avx2"|"neon"|"avx512");
+/// Parses an EMMARK_KERNEL value ("scalar"|"sse2"|"avx2");
 /// throws std::invalid_argument on anything else.
 Level parse_level(const std::string& name);
 
@@ -98,6 +92,17 @@ inline uint8_t int4_pack(int8_t lo, int8_t hi) {
 /// Bytes one packed int4 row occupies: two codes per byte, odd tail padded.
 inline int64_t int4_row_bytes(int64_t cols) { return (cols + 1) / 2; }
 
+/// Eq. 5 stamp: codes[loc[j]] += bits[j]. The caller guarantees the sums
+/// stay inside the quantization grid (derivation never selects a saturated
+/// weight), which is what lets this write through the raw buffer instead
+/// of per-element bound-checked setters.
+inline void stamp(int8_t* codes, const int64_t* locations, const int8_t* bits,
+                  size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    codes[locations[j]] = static_cast<int8_t>(codes[locations[j]] + bits[j]);
+  }
+}
+
 /// Per-call context for the Eq. 2-4 scoring sweep over one row.
 struct ScoreArgs {
   const int8_t* codes = nullptr;    // row slice of the contiguous code buffer
@@ -144,24 +149,13 @@ struct Ops {
   size_t (*collect_le_abs8)(const int8_t* codes, size_t n, int32_t threshold,
                             int64_t* out);
 
-  /// Eq. 5 stamp: codes[loc[j]] += bits[j]. The caller guarantees the sums
-  /// stay inside the quantization grid (derivation never selects a
-  /// saturated weight), which is what lets this write through the raw
-  /// buffer instead of per-element bound-checked setters.
-  void (*stamp)(int8_t* codes, const int64_t* locations, const int8_t* bits,
-                size_t n);
-
-  /// Eval-path microkernel: dst[j] += a * src[j] for j in [0, n). Every
-  /// blocked GEMM layout in src/tensor/gemm.cpp lowers to sweeps of this
-  /// op over output lanes; because each dst[j] is an independent
-  /// accumulator, vector widths only change how many outputs advance per
-  /// instruction, never the per-output summation order. One IEEE mul and
-  /// one IEEE add per element -- implementations must not fuse them (FMA
-  /// rounds once where mul+add rounds twice, breaking bit-identity).
-  void (*axpy_f32)(float* dst, const float* src, float a, int64_t n);
-
-  /// Same contract in double; the DCT-II/III accumulate over cosine-table
-  /// rows in src/signal/dct.cpp.
+  /// Eval-path microkernel: dst[j] += a * src[j] for j in [0, n), in
+  /// double; the DCT-II/III accumulate over cosine-table rows in
+  /// src/signal/dct.cpp. Each dst[j] is an independent accumulator, so
+  /// vector widths only change how many outputs advance per instruction,
+  /// never the per-output summation order. One IEEE mul and one IEEE add
+  /// per element -- implementations must not fuse them (FMA rounds once
+  /// where mul+add rounds twice, breaking bit-identity).
   void (*axpy_f64)(double* dst, const double* src, double a, int64_t n);
 
   /// Dequantize one group-aligned span of int8 codes:
@@ -176,11 +170,11 @@ struct Ops {
   /// GEMM panel microkernel: for j in [0, jb)
   ///   dst[j] += sum over p in [0, pb) ascending of
   ///             x[p * x_stride] * panel[p * panel_stride + j].
-  /// This is the axpy sweep over one K-panel with dst kept in registers:
+  /// Every blocked GEMM layout in src/tensor/gemm.cpp lowers to this op:
   /// each dst[j] is loaded once, accumulated in strict ascending-p order
-  /// (the same per-output summation order as pb back-to-back axpy_f32
-  /// calls, hence bit-identical to them), and stored once -- instead of a
-  /// load/store round trip per K step. Same FMA prohibition as axpy_f32:
+  /// (the same per-output summation order as pb back-to-back dst += x * row
+  /// sweeps, hence bit-identical to them), and stored once -- instead of a
+  /// load/store round trip per K step. Same FMA prohibition as axpy_f64:
   /// one IEEE mul and one IEEE add per element.
   void (*gemm_panel_f32)(float* dst, const float* panel, int64_t panel_stride,
                          const float* x, int64_t x_stride, int64_t pb,

@@ -145,19 +145,9 @@ size_t collect_le_abs8_avx2(const int8_t* codes, size_t n, int32_t threshold,
   return detail::collect_le_abs8_tail(codes, i, n, threshold, out, count);
 }
 
-void axpy_f32_avx2(float* dst, const float* src, float a, int64_t n) {
-  // Explicit mul + add (not _mm256_fmadd_ps): FMA's single rounding would
-  // diverge from the scalar reference's two roundings.
-  const __m256 av = _mm256_set1_ps(a);
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 prod = _mm256_mul_ps(av, _mm256_loadu_ps(src + j));
-    _mm256_storeu_ps(dst + j, _mm256_add_ps(_mm256_loadu_ps(dst + j), prod));
-  }
-  for (; j < n; ++j) dst[j] += a * src[j];
-}
-
 void axpy_f64_avx2(double* dst, const double* src, double a, int64_t n) {
+  // Explicit mul + add (not _mm256_fmadd_pd): FMA's single rounding would
+  // diverge from the scalar reference's two roundings.
   const __m256d av = _mm256_set1_pd(a);
   int64_t j = 0;
   for (; j + 4 <= n; j += 4) {
@@ -193,7 +183,7 @@ void gemm_panel_f32_avx2(float* dst, const float* panel, int64_t panel_stride,
                          int64_t jb) {
   // dst stays in registers across the whole K-panel: four accumulators per
   // 32-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the axpy sweep), explicit mul + add (no FMA).
+  // sequence as the scalar reference), explicit mul + add (no FMA).
   int64_t j = 0;
   for (; j + 32 <= jb; j += 32) {
     __m256 acc0 = _mm256_loadu_ps(dst + j);
@@ -292,8 +282,6 @@ const Ops kAvx2Ops = {
     count_matches_avx2,
     collect_le_f64_avx2,
     collect_le_abs8_avx2,
-    detail::stamp_scalar,  // sparse scatter: no AVX2 scatter instruction
-    axpy_f32_avx2,
     axpy_f64_avx2,
     dequant_span_f32_avx2,
     gemm_panel_f32_avx2,

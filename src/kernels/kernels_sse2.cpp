@@ -2,8 +2,8 @@
 // fallback lane on hosts without AVX2 still gets vector divides and
 // compares. Two double lanes per iteration; the int8 -> double widening is
 // scalar (no pmovsx below SSE4.1) but the divide/compare/blend -- the
-// expensive part -- is vector. Sparse-access ops (count_matches, stamp)
-// share the scalar routines: SSE2 has no gather or scatter.
+// expensive part -- is vector. count_matches shares the scalar
+// routine: SSE2 has no gather.
 #include "kernels/isa_tables.h"
 #include "kernels/kernels.h"
 #include "kernels/scalar_impl.h"
@@ -88,16 +88,6 @@ size_t collect_le_abs8_sse2(const int8_t* codes, size_t n, int32_t threshold,
   return detail::collect_le_abs8_tail(codes, i, n, threshold, out, count);
 }
 
-void axpy_f32_sse2(float* dst, const float* src, float a, int64_t n) {
-  const __m128 av = _mm_set1_ps(a);
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m128 prod = _mm_mul_ps(av, _mm_loadu_ps(src + j));
-    _mm_storeu_ps(dst + j, _mm_add_ps(_mm_loadu_ps(dst + j), prod));
-  }
-  for (; j < n; ++j) dst[j] += a * src[j];
-}
-
 void axpy_f64_sse2(double* dst, const double* src, double a, int64_t n) {
   const __m128d av = _mm_set1_pd(a);
   int64_t j = 0;
@@ -136,7 +126,7 @@ void gemm_panel_f32_sse2(float* dst, const float* panel, int64_t panel_stride,
                          int64_t jb) {
   // dst stays in registers across the whole K-panel: four accumulators per
   // 16-output block, strict ascending-p adds (the same per-output IEEE
-  // sequence as the axpy sweep), explicit mul + add (no FMA).
+  // sequence as the scalar reference), explicit mul + add (no FMA).
   int64_t j = 0;
   for (; j + 16 <= jb; j += 16) {
     __m128 acc0 = _mm_loadu_ps(dst + j);
@@ -231,8 +221,6 @@ const Ops kSse2Ops = {
     detail::count_matches_scalar,  // no gather below AVX2
     collect_le_f64_sse2,
     collect_le_abs8_sse2,
-    detail::stamp_scalar,  // sparse scatter
-    axpy_f32_sse2,
     axpy_f64_sse2,
     dequant_span_f32_sse2,
     gemm_panel_f32_sse2,

@@ -3,10 +3,10 @@
 // These are the semantic definition the vector levels must match bit for
 // bit. They live in a header (inline) so each ISA translation unit can
 // fall back to them for ops its instruction set cannot accelerate --
-// sparse scatters (stamp) and sub-gather-width sparse loads
-// (count_matches on SSE2/NEON) -- without cross-TU plumbing. Keep them
-// branch-light but straightforward: clarity here is what makes the
-// bit-identity contract auditable.
+// sub-gather-width sparse loads (count_matches on SSE2) and vector-loop
+// tails -- without cross-TU plumbing. Keep them branch-light but
+// straightforward: clarity here is what makes the bit-identity contract
+// auditable.
 #pragma once
 
 #include <cmath>
@@ -71,23 +71,12 @@ inline size_t collect_le_abs8_scalar(const int8_t* codes, size_t n,
   return count;
 }
 
-inline void stamp_scalar(int8_t* codes, const int64_t* locations,
-                         const int8_t* bits, size_t n) {
-  for (size_t j = 0; j < n; ++j) {
-    codes[locations[j]] = static_cast<int8_t>(codes[locations[j]] + bits[j]);
-  }
-}
-
 // The eval-path microkernels below are the semantic reference for the
 // blocked GEMM / dequant / DCT paths. Each dst element is an independent
 // accumulator, so the vector levels differ only in how many outputs they
 // advance per instruction. The whole repo builds with -ffp-contract=off,
 // which keeps these loops honest: the compiler may auto-vectorize them
 // (same per-element IEEE ops) but may not fuse mul+add into FMA.
-
-inline void axpy_f32_scalar(float* dst, const float* src, float a, int64_t n) {
-  for (int64_t j = 0; j < n; ++j) dst[j] += a * src[j];
-}
 
 inline void axpy_f64_scalar(double* dst, const double* src, double a,
                             int64_t n) {
@@ -113,7 +102,7 @@ inline void gemm_panel_f32_scalar(float* dst, const float* panel,
                                   int64_t x_stride, int64_t pb, int64_t jb) {
   for (int64_t j = 0; j < jb; ++j) {
     // Register accumulator, ascending p: the identical IEEE add sequence as
-    // pb axpy_f32 sweeps hitting dst[j] through memory.
+    // pb dst += x * row sweeps hitting dst[j] through memory.
     float acc = dst[j];
     const float* col = panel + j;
     for (int64_t p = 0; p < pb; ++p) {

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,18 +146,32 @@ TEST(KernelDispatch, UnknownNameThrows) {
   EXPECT_THROW(kn::parse_level(""), std::invalid_argument);
 }
 
-TEST(KernelDispatch, Avx512IsAValidLevelName) {
-  // avx512 joined the level enum in the eval-path PR; whether it is
-  // *supported* depends on the host, but the name must always parse.
-  EXPECT_EQ(kn::parse_level("avx512"), kn::Level::kAvx512);
-  EXPECT_STREQ(kn::to_string(kn::Level::kAvx512), "avx512");
+TEST(KernelDispatch, RemovedLevelNamesThrow) {
+  // avx512 and neon were dispatch levels once; EMMARK_KERNEL naming either
+  // must now fail with the unknown-level error, not select a fallback.
+  for (const char* name : {"avx512", "neon"}) {
+    try {
+      (void)kn::parse_level(name);
+      ADD_FAILURE() << name << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scalar, sse2, or avx2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(KernelDispatch, UnsupportedLevelsThrow) {
-  // Every host lacks at least one level (no CPU is both x86 and ARM), so
-  // the failure path is exercised everywhere.
-  for (kn::Level level : {kn::Level::kScalar, kn::Level::kSse2, kn::Level::kAvx2,
-                          kn::Level::kNeon, kn::Level::kAvx512}) {
+  // A level with no table fails on every host, so the failure path is
+  // exercised even where all three real levels are supported.
+  const auto bogus = static_cast<kn::Level>(99);
+  EXPECT_FALSE(kn::level_supported(bogus));
+  EXPECT_THROW(kn::ops_for(bogus), std::runtime_error);
+  EXPECT_THROW(kn::ScopedLevelOverride{bogus}, std::runtime_error);
+  EXPECT_EQ(kn::active_level(), kn::default_level());
+  // Real levels this host lacks (AVX2 on an SSE2-only CPU, every vector
+  // level off x86) fail the same way.
+  for (kn::Level level : {kn::Level::kSse2, kn::Level::kAvx2}) {
     if (kn::level_supported(level)) continue;
     EXPECT_THROW(kn::ops_for(level), std::runtime_error) << kn::to_string(level);
     EXPECT_THROW(kn::ScopedLevelOverride{level}, std::runtime_error);
