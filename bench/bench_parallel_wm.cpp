@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -284,6 +285,13 @@ int main(int argc, char** argv) {
                 kernel_rows[i].score_ms,
                 kernel_base_derive / kernel_rows[i].derive_ms,
                 kernel_base_score / kernel_rows[i].score_ms);
+  }
+  // Every level this build defines, supported here or not: a baseline
+  // naming any other level cannot be compared against this build.
+  std::printf("],\"kernel_levels\":[");
+  for (size_t i = 0; i < std::size(kernels::kAllLevels); ++i) {
+    std::printf("%s\"%s\"", i ? "," : "",
+                kernels::to_string(kernels::kAllLevels[i]));
   }
   std::printf("]}\n");
   return 0;

@@ -142,12 +142,16 @@ def phases(row):
 eval_best = min(eval_path["kernels"], key=lambda r: r["gemm_ms"])
 
 doc = {
-    "bench_baseline_version": 10,
+    "bench_baseline_version": 11,
     "machine": {
         "os": f"{platform.system()} {platform.release()}",
         "arch": platform.machine(),
         "cpu": cpu_model(),
         "hardware_threads": wm["hardware_threads"],
+        # CPUs this run could actually use (affinity / cpuset), next to
+        # the host's count: a pinned or throttled run reads lower here.
+        "cpus_available": len(os.sched_getaffinity(0)),
+        "cpu_count": os.cpu_count(),
     },
     "git_head": git_head(),
     "kernel_level": wm["kernel_default"],
@@ -249,8 +253,21 @@ fresh_sum, base_sum = fresh["summary"], base["summary"]
 same_model = fresh_sum["model"] == base_sum["model"]
 same_cpu = fresh["machine"]["cpu"] == base["machine"]["cpu"]
 
+# A baseline whose headline kernel levels this build no longer defines
+# (a deleted tier) can never be compared again: skipping its checks would
+# pass the gate on almost nothing, so it fails and names the level.
+defined = fresh["parallel_wm"]["kernel_levels"]
+headline = {base_sum["best_kernel"]["kernel"], base.get("kernel_level"),
+            base_sum.get("eval_path", {}).get("best_kernel")}
+undefined = sorted(headline - set(defined) - {None})
+if undefined:
+    print(f"[bench_compare] FAILED: baseline kernel level(s) "
+          f"{', '.join(undefined)} not defined by this build (defined: "
+          f"{', '.join(defined)}); regenerate the baseline")
+    sys.exit(1)
+
 # Comparable pinned phase = the same kernel level on both sides. The
-# baseline's headline kernel may not even exist on this host (an avx2
+# baseline's headline kernel may not exist on this host (an avx2
 # snapshot gating an sse2-only CI host), and a different fastest level would
 # make best-vs-best a mismatched comparison -- so every check below pins
 # the baseline's headline kernel row by name inside the fresh run and

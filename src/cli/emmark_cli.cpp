@@ -246,10 +246,6 @@ void add_router_options(ArgParser& args) {
                   "per-shard store byte budget over code buffers (0 = entry cap only)");
   args.add_option("shards", "1", "backend shards (ModelStore+engine pairs)");
   args.add_option("train-cap", "0", "cap zoo training steps (0 = full; for dev)");
-  args.add_option("workers", "0", "per-shard engine worker cap (0 = thread-pool size)");
-  args.add_option("engine-queue", "0",
-                  "per-shard engine queue depth (0 = engine default); a full "
-                  "queue defers submissions to the next poll, never blocks intake");
   args.add_option("base-seed", "0", "engine base seed for seed-from-id requests");
   args.add_option("min-wer", "90", "default verify/trace WER gate (percent)");
   args.add_option("max-queued", "0",
@@ -270,8 +266,6 @@ RouterConfig router_config_from(const ArgParser& args) {
   config.shards = static_cast<size_t>(args.get_int("shards"));
   config.train_steps_cap = args.get_int("train-cap");
   config.base_seed = static_cast<uint64_t>(args.get_int("base-seed"));
-  config.max_workers = static_cast<size_t>(args.get_int("workers"));
-  config.engine_queue = static_cast<size_t>(args.get_int("engine-queue"));
   config.min_wer_pct = args.get_double("min-wer");
   config.max_queued = static_cast<size_t>(args.get_int("max-queued"));
   config.store_ttl_sec = args.get_double("store-ttl");

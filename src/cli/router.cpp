@@ -297,14 +297,11 @@ struct OverloadError : std::runtime_error {
 // the deferred-slot count, the artifact claims and the model build
 // (ModelStore::get_async). A rejected line starts no work.
 //
-// The request then moves toward the engine in two non-blocking steps,
-// retried on every poll:
-//
-//   1. the build future must be ready (an engine worker must never park on
-//      a build future -- builds run on the same pool, so a small pool
-//      could deadlock on itself);
-//   2. the engine must accept it (try_submit; a full queue defers to the
-//      next poll instead of parking the event loop).
+// The request is handed to the engine once its build future is ready,
+// retried on every poll: an engine worker must never park on a build
+// future -- builds run on the same pool, so a small pool could deadlock on
+// itself. WatermarkEngine::submit never blocks, so the hand-off itself
+// cannot stall the event loop.
 //
 // Artifact loads and the model deep copy live in the request's lazy
 // factory, which the engine invokes on the executing worker -- the session
@@ -312,7 +309,7 @@ struct OverloadError : std::runtime_error {
 // response line (insert first writes its artifacts), so a later reader
 // gated on this slot's flush sees the files. The blocking variant
 // (block=true, used only by the in-order finalizers, where waiting is the
-// contract) resolves the build and submits with backpressure in one call.
+// contract) waits for the build and then submits.
 // A failed build lands in fail_error: the response slot turns it into the
 // same error line an intake-time failure produces.
 
@@ -365,7 +362,7 @@ struct EngineVerb {
   /// Checks and stores the verb's numeric parameters; throws on bad input.
   void (*parse)(EngineRequest& ctx);
   /// Moves the request toward the engine (see the pipeline comment).
-  bool (*submit)(const EnginePtr& ctx, bool block);
+  void (*submit)(const EnginePtr& ctx, bool block);
 };
 
 void parse_insert(EngineRequest& ctx) {
@@ -510,18 +507,17 @@ std::string respond(EngineRequest&, const WatermarkEngine::TraceBatchResult& slo
 }
 
 template <typename Request, Request (*make_request)(const EnginePtr&)>
-bool submit_to_engine(const EnginePtr& ctx, bool block) {
+void submit_to_engine(const EnginePtr& ctx, bool block) {
   using Result = typename Request::Result;
-  if (ctx->submitted || !ctx->fail_error.empty()) return true;
-  if (!block && !future_ready(ctx->build)) return false;
+  if (ctx->submitted || !ctx->fail_error.empty()) return;
+  if (!block && !future_ready(ctx->build)) return;
   try {
     ctx->handle = ctx->build.get();
   } catch (const std::exception& e) {
     ctx->fail_error = e.what();
     ctx->deferred.release();  // never reaching the engine
-    return true;
+    return;
   }
-  Request request = make_request(ctx);
   // The response travels through ctx->settled, so the engine's own
   // result future is not kept.
   WatermarkEngine::Callback<Request> done = [ctx](const Result& slot) {
@@ -540,16 +536,10 @@ bool submit_to_engine(const EnginePtr& ctx, bool block) {
     ctx->stamps.complete = std::chrono::steady_clock::now();
     ctx->settle.set_value();
   };
-  std::future<Result> result;
-  if (block) {
-    result = ctx->engine->submit(std::move(request), std::move(done));
-  } else if (!ctx->engine->try_submit(request, result, std::move(done))) {
-    return false;
-  }
-  ctx->submitted = true;
   ctx->stamps.submit = std::chrono::steady_clock::now();
+  ctx->engine->submit(make_request(ctx), std::move(done));
+  ctx->submitted = true;
   ctx->deferred.release();
-  return true;
 }
 
 /// The engine verbs, in protocol order. Adding a verb is adding a row (and
@@ -692,8 +682,6 @@ RequestRouter::Shard::Shard(const RouterConfig& config)
         EngineConfig ec;
         ec.base_seed = config.base_seed;
         ec.trace_min_wer_pct = config.min_wer_pct;
-        ec.max_workers = config.max_workers;
-        if (config.engine_queue != 0) ec.max_queue = config.engine_queue;
         return ec;
       }()) {}
 

@@ -18,11 +18,11 @@
 // pipeline, driven by a verb table in router.cpp: handle_line checks the
 // whole line, then starts the model build via ModelStore::get_async and
 // queues a response slot. The engine submission is deferred until the
-// build future resolves and the engine queue has room
-// (WatermarkEngine::try_submit), retried on every poll(); artifact file
-// I/O, the model deep copy and the response rendering happen on an engine
-// worker. The intake thread's cost per line is parse + queue push -- it
-// never blocks on a cold build, a full engine queue, or the filesystem.
+// build future resolves, retried on every poll(); WatermarkEngine::submit
+// never blocks, and artifact file I/O, the model deep copy and the
+// response rendering happen on an engine worker. The intake thread's cost
+// per line is parse + queue push -- it never blocks on a cold build or the
+// filesystem.
 //
 // The wire protocol itself is specified normatively in docs/PROTOCOL.md;
 // the architecture (layering, threading, sharding) in docs/ARCHITECTURE.md.
@@ -143,12 +143,6 @@ struct RouterConfig {
   /// Engine base seed for seed-from-id requests (every shard's engine
   /// shares it, so request seeds do not depend on shard placement).
   uint64_t base_seed = 0;
-  /// Per-shard engine worker cap (0 = thread-pool size).
-  size_t max_workers = 0;
-  /// Per-shard engine queue depth (0 = engine default). Deferred
-  /// submissions retry on poll when the queue is full, so a small depth
-  /// bounds memory without ever blocking intake.
-  size_t engine_queue = 0;
   /// Default trace/verify WER gate (percent).
   double min_wer_pct = 90.0;
   /// Backend shard count (>= 1): N shards partition the spec key space N
@@ -258,9 +252,9 @@ class RequestRouter {
     /// before it has been flushed.
     struct PendingOutput {
       /// Non-blocking progression (retry a deferred engine submission
-      /// once the build future resolved, the artifact dependencies
-      /// cleared, and the engine queue has room). Empty for slots with
-      /// nothing to advance (errors, stats).
+      /// once the build future resolved and the artifact dependencies
+      /// cleared). Empty for slots with nothing to advance (errors,
+      /// stats).
       std::function<void()> advance;
       std::function<bool()> ready;
       std::function<std::string()> finalize;  // never throws; returns JSON
@@ -304,7 +298,7 @@ class RequestRouter {
     ModelStore store;
     WatermarkEngine engine;
     /// Requests parsed but not yet handed to the engine (build future
-    /// unresolved, artifact gates, full engine queue). Together with
+    /// unresolved, artifact gates). Together with
     /// engine.pending() this is the shard's admission-control load.
     std::atomic<size_t> deferred{0};
   };

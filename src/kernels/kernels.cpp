@@ -22,10 +22,6 @@ const Ops kScalarOps = {
     detail::dequant_packed_span_f32_scalar,
 };
 
-/// Every level, ascending: the order supported_levels() reports and the
-/// names parse_level() accepts.
-constexpr Level kLevels[] = {Level::kScalar, Level::kSse2, Level::kAvx2};
-
 /// Does the running CPU have the level's instructions? (Compile-time
 /// availability of the table is checked separately.)
 bool cpu_has(Level level) {
@@ -71,7 +67,7 @@ const char* to_string(Level level) {
 }
 
 Level parse_level(const std::string& name) {
-  for (Level level : kLevels) {
+  for (Level level : kAllLevels) {
     if (name == to_string(level)) return level;
   }
   throw std::invalid_argument("unknown kernel level: " + name +
@@ -84,7 +80,7 @@ bool level_supported(Level level) {
 
 std::vector<Level> supported_levels() {
   std::vector<Level> levels;
-  for (Level level : kLevels) {
+  for (Level level : kAllLevels) {
     if (level_supported(level)) levels.push_back(level);
   }
   return levels;

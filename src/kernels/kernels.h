@@ -42,6 +42,10 @@ enum class Level : int32_t {
   kAvx2 = 2,
 };
 
+/// Every level this build defines, ascending: the order supported_levels()
+/// reports and the names parse_level() accepts.
+inline constexpr Level kAllLevels[] = {Level::kScalar, Level::kSse2, Level::kAvx2};
+
 const char* to_string(Level level);
 
 /// Parses an EMMARK_KERNEL value ("scalar"|"sse2"|"avx2");

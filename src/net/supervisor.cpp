@@ -381,8 +381,6 @@ struct Supervisor::Impl : FrontDoorBackend {
         "--capacity", std::to_string(cfg.router.store_capacity),
         "--max-bytes", std::to_string(cfg.router.max_resident_bytes),
         "--train-cap", std::to_string(cfg.router.train_steps_cap),
-        "--workers", std::to_string(cfg.router.max_workers),
-        "--engine-queue", std::to_string(cfg.router.engine_queue),
         "--base-seed", std::to_string(cfg.router.base_seed),
         "--min-wer", std::to_string(cfg.router.min_wer_pct),
         "--max-queued", std::to_string(cfg.router.max_queued),

@@ -40,7 +40,8 @@ void ActivationStats::save(BinaryWriter& w) const {
 
 ActivationStats ActivationStats::load(BinaryReader& r) {
   ActivationStats stats;
-  const uint64_t count = r.read_u64();
+  // Each layer starts with its name's u64 length prefix.
+  const uint64_t count = r.read_count(sizeof(uint64_t));
   stats.layers.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     LayerActivationStats layer;

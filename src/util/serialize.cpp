@@ -56,6 +56,11 @@ BinaryReader::BinaryReader(const std::string& path, const std::string& magic,
                            uint32_t min_version, uint32_t max_version)
     : in_(path, std::ios::binary), path_(path) {
   if (!in_) throw SerializeError("cannot open for reading: " + path);
+  in_.seekg(0, std::ios::end);
+  const std::streamoff end = in_.tellg();
+  in_.seekg(0, std::ios::beg);
+  if (!in_ || end < 0) throw SerializeError("cannot size archive: " + path);
+  size_ = static_cast<uint64_t>(end);
   std::array<char, kMagicSize> found{};
   read_bytes(found.data(), found.size());
   if (found != pad_magic(magic)) {
@@ -73,18 +78,30 @@ BinaryReader::BinaryReader(const std::string& path, const std::string& magic,
 }
 
 std::string BinaryReader::read_string() {
-  const uint64_t size = read_u64();
-  if (size > max_reasonable_elements(1)) throw SerializeError("string too large in " + path_);
+  const uint64_t size = read_count(1);
   std::string s(size, '\0');
   if (size > 0) read_bytes(s.data(), size);
   return s;
 }
 
+uint64_t BinaryReader::read_count(uint64_t min_element_bytes) {
+  const uint64_t count = read_u64();
+  const uint64_t left = size_ - pos_;
+  if (count > left / min_element_bytes) {
+    throw SerializeError("archive length " + std::to_string(count) +
+                         " exceeds the " + std::to_string(left) +
+                         " bytes left in " + path_);
+  }
+  return count;
+}
+
 void BinaryReader::read_bytes(void* data, size_t size) {
+  if (size > size_ - pos_) throw SerializeError("truncated archive: " + path_);
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
   if (static_cast<size_t>(in_.gcount()) != size) {
     throw SerializeError("truncated archive: " + path_);
   }
+  pos_ += size;
 }
 
 bool file_exists(const std::string& path) {

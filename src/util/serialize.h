@@ -97,25 +97,28 @@ class BinaryReader {
   template <typename T>
   std::vector<T> read_vector() {
     static_assert(std::is_trivially_copyable_v<T>, "read_vector needs POD elements");
-    const uint64_t count = read_u64();
-    if (count > max_reasonable_elements(sizeof(T))) {
-      throw SerializeError("archive element count implausibly large");
-    }
+    const uint64_t count = read_count(sizeof(T));
     std::vector<T> values(count);
     if (count > 0) read_bytes(values.data(), count * sizeof(T));
     return values;
   }
 
+  /// Reads a u64 element count and checks it before anything is sized by
+  /// it: `count` elements of at least `min_element_bytes` (>= 1) each must
+  /// fit in the bytes left in the file. Archives can come from an
+  /// untrusted party (an adversary's suspect artifacts), so a forged
+  /// length must fail here instead of driving an allocation.
+  uint64_t read_count(uint64_t min_element_bytes);
+
   uint32_t version() const { return version_; }
 
  private:
   void read_bytes(void* data, size_t size);
-  static uint64_t max_reasonable_elements(size_t elem_size) {
-    return (8ull << 30) / elem_size;  // refuse >8 GiB payloads
-  }
 
   std::ifstream in_;
   std::string path_;
+  uint64_t size_ = 0;  // file size in bytes
+  uint64_t pos_ = 0;   // bytes consumed so far
   uint32_t version_ = 0;
 };
 

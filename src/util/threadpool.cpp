@@ -50,7 +50,7 @@ void ThreadPool::worker_loop() {
       });
       if (stopping_ && dispatch_tasks_.empty() && intra_tasks_.empty()) return;
       // Request-level dispatch outranks intra-request fan-out: an engine
-      // pump queued behind a wide parallel_for tail would otherwise wait
+      // request queued behind a wide parallel_for tail would otherwise wait
       // out every chunk of someone else's request.
       if (!dispatch_tasks_.empty()) {
         task = std::move(dispatch_tasks_.front());
@@ -107,7 +107,7 @@ void ThreadPool::parallel_for(size_t count,
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t p = 0; p < pullers; ++p) {
       // Chunk pullers are intra-request work: queued dispatch tasks
-      // (engine pumps, cold builds) run first. The caller blocks on
+      // (engine requests, cold builds) run first. The caller blocks on
       // done_cv either way, so the lower class costs only latency of this
       // one call, never progress.
       intra_tasks_.emplace([&, chunk_size, count] {

@@ -13,7 +13,7 @@
 // The serving stack multiplexes two very different kinds of work onto this
 // one pool, so tasks carry a class:
 //
-//   * kDispatch -- request-level work: engine queue pumps, cold ModelStore
+//   * kDispatch -- request-level work: engine requests, cold ModelStore
 //     builds, anything that moves a whole request forward. The default for
 //     post().
 //   * kIntra -- intra-request fan-out: the chunk tasks parallel_for
@@ -21,7 +21,7 @@
 //
 // Workers drain the dispatch queue first. Without the split, one request's
 // wide parallel_for (a big batch extraction, a bench sweep) could park
-// every engine pump behind its chunk tail, starving request-level dispatch
+// every engine request behind its chunk tail, starving request-level dispatch
 // and inflating tail latency for every other request on the box. The split
 // cannot deadlock: a dispatch task that itself calls parallel_for runs the
 // chunks inline (nested parallel_for from a pool worker always does), so

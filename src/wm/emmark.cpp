@@ -135,7 +135,8 @@ void WatermarkRecord::save(BinaryWriter& w) const {
 WatermarkRecord WatermarkRecord::load(BinaryReader& r) {
   WatermarkRecord record;
   record.key = WatermarkKey::load(r);
-  const uint64_t count = r.read_u64();
+  // Each layer starts with its name's u64 length prefix.
+  const uint64_t count = r.read_count(sizeof(uint64_t));
   record.layers.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     LayerWatermark layer;

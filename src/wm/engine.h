@@ -8,17 +8,17 @@
 //   * Batched (synchronous): insert_batch / extract_batch / trace_batch fan
 //     a request vector out on the thread pool and block until every slot is
 //     filled, in request order.
-//   * Asynchronous (service): submit() enqueues one request of any type on
-//     a bounded queue and returns a std::future of its result type
-//     (Request::Result) immediately; worker tasks drain the queue on the
-//     shared ThreadPool. try_submit() is the non-blocking
-//     variant for latency-critical callers (the server event loop): a full
-//     queue returns false instead of parking the submitter. An optional
-//     completion callback fires on the worker right before the future
-//     becomes ready. drain() blocks until the engine is idle; shutdown()
-//     stops intake, cancels queued requests (their slots report ok=false,
-//     futures still become ready) and waits for in-flight work -- a
-//     destructor-safe shutdown even with a non-empty queue.
+//   * Asynchronous (service): submit() hands one request of any type
+//     straight to the bound ThreadPool as one dispatch-class task and
+//     returns a std::future of its result type (Request::Result)
+//     immediately. The engine keeps no queue of its own: requests wait in
+//     the pool's dispatch queue, and concurrency is the pool size. An
+//     optional completion callback fires on the worker right before the
+//     future becomes ready. drain() blocks until the engine is idle;
+//     shutdown() stops intake and waits for every posted task -- a task
+//     that starts after shutdown() cancels its request (the slot reports
+//     ok=false, the future still becomes ready) instead of running it, so
+//     shutdown is destructor-safe with a deep backlog.
 //
 // Guarantees, shared by both styles:
 //
@@ -33,7 +33,7 @@
 //     byte-identical to the synchronous path for the same requests.
 //   * A ready future implies the request is no longer pending(): results
 //     are published (callback, then promise) only after the engine's
-//     in-flight count dropped, so an observer that saw the future resolve
+//     pending count dropped, so an observer that saw the future resolve
 //     never finds the same request still counted as pending -- the
 //     property that keeps `stats` snapshots deterministic after a session
 //     settled its own slots.
@@ -46,25 +46,19 @@
 // payload -- deep copies and artifact file loads then cost the submitting
 // thread nothing.
 //
-// Queue semantics: submit() applies backpressure -- it blocks while the
-// queue holds config.max_queue requests; try_submit() refuses instead.
-// Worker parallelism is capped at config.max_workers (0 = the bound pool's
-// size). Engine pump tasks run in the pool's dispatch class, ahead of any
-// request's intra parallel_for fan-out (see util/threadpool.h). The engine
-// binds ThreadPool::active() at construction; create the engine inside a
+// Engine tasks run in the pool's dispatch class, ahead of any request's
+// intra parallel_for fan-out (see util/threadpool.h). The engine binds
+// ThreadPool::active() at construction; create the engine inside a
 // ScopedOverride to pin it to a private pool, and destroy the engine before
 // that pool.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -81,11 +75,6 @@ struct EngineConfig {
   uint64_t base_seed = 0;
   /// Verdict gate applied to trace/verify requests that do not set their own.
   double trace_min_wer_pct = 90.0;
-  /// Bounded queue depth: a full queue blocks submit() and refuses
-  /// try_submit().
-  size_t max_queue = 256;
-  /// Max concurrently executing async requests (0 = bound pool size).
-  size_t max_workers = 0;
 };
 
 class WatermarkEngine {
@@ -95,10 +84,10 @@ class WatermarkEngine {
   /// load without wrapping every submission. The batch entry points do not
   /// count here: they are library calls, not service traffic.
   struct Counters {
-    uint64_t submitted = 0;  // accepted submit()/try_submit() calls
+    uint64_t submitted = 0;  // accepted submit() calls
     uint64_t completed = 0;  // executed requests whose slot reported ok
     uint64_t failed = 0;     // executed requests whose slot reported !ok
-    uint64_t cancelled = 0;  // queued requests cancelled by shutdown()
+    uint64_t cancelled = 0;  // unstarted requests cancelled by shutdown()
   };
 
   struct InsertResult;
@@ -107,7 +96,7 @@ class WatermarkEngine {
   struct VerifyResult;
 
   // Each request type names the result type it resolves to (Result), which
-  // is what submit()/try_submit() dispatch on.
+  // is what submit() dispatches on.
 
   struct InsertRequest {
     using Result = InsertResult;
@@ -234,95 +223,63 @@ class WatermarkEngine {
   std::vector<ExtractResult> extract_batch(const std::vector<ExtractRequest>& requests) const;
   std::vector<TraceBatchResult> trace_batch(const std::vector<TraceRequest>& requests) const;
 
-  // --- asynchronous entry points --------------------------------------------
-  // Both serve the four request types above; Request is deduced from the
-  // first argument.
+  // --- asynchronous entry point ---------------------------------------------
+  // Serves the four request types above; Request is deduced from the first
+  // argument.
 
-  /// Enqueues the request and returns immediately (unless the queue is
-  /// full, which blocks until space frees). The optional callback runs on
-  /// the worker that executed the request, with the same result the future
-  /// delivers; callback exceptions are swallowed. After shutdown() the
-  /// future resolves at once with an ok=false rejection slot.
+  /// Posts the request to the pool and returns immediately; never blocks.
+  /// The optional callback runs on the worker that executed the request,
+  /// with the same result the future delivers; callback exceptions are
+  /// swallowed. After shutdown() the future resolves at once with an
+  /// ok=false rejection slot.
   template <typename Request>
   std::future<typename Request::Result> submit(Request request,
-                                               Callback<Request> done = {}) {
-    std::future<typename Request::Result> future;
-    enqueue(request, std::move(done), /*blocking=*/true, future);
-    return future;
-  }
+                                               Callback<Request> done = {});
 
-  /// Non-blocking submit: never parks the caller. Returns false -- leaving
-  /// `request` and `out` untouched -- when the queue is at config.max_queue,
-  /// so the caller retries on a later poll. Returns true when the request
-  /// was accepted (out becomes the result future) or the engine is shut
-  /// down (out resolves at once with an ok=false rejection slot, exactly
-  /// like submit() after shutdown). A true return consumes the request.
-  template <typename Request>
-  bool try_submit(Request& request, std::future<typename Request::Result>& out,
-                  Callback<Request> done = {}) {
-    return enqueue(request, std::move(done), /*blocking=*/false, out);
-  }
-
-  /// Blocks until every submitted request has completed and no worker task
-  /// remains scheduled.
+  /// Blocks until every submitted request has completed and published its
+  /// result (callback and future).
   void drain();
 
-  /// Stops intake, completes queued-but-unstarted requests with ok=false
-  /// cancellation slots (futures and callbacks still fire), and waits for
-  /// in-flight requests to finish. Idempotent; called by the destructor.
+  /// Stops intake and waits for every posted task: requests already
+  /// executing finish, unstarted ones complete with ok=false cancellation
+  /// slots (futures and callbacks still fire). Idempotent; called by the
+  /// destructor.
   void shutdown();
 
-  /// Requests currently queued or executing. A request whose future is
-  /// ready is never counted (results publish after the in-flight count
-  /// drops -- see the file comment).
+  /// Submitted requests whose result is not yet published (waiting in the
+  /// pool or executing). A request whose future is ready is never counted
+  /// (results publish after the count drops -- see the file comment).
   size_t pending() const;
 
   /// Snapshot of the async-path lifetime counters.
   Counters counters() const;
 
-  /// Queue-wait (enqueue -> dequeue) latency distribution of the async
-  /// path. Recorded lock-free by pump workers; scrape via snapshot(), and
+  /// Queue-wait (submit -> task start) latency distribution of the async
+  /// path. Recorded lock-free by pool workers; scrape via snapshot(), and
   /// merge snapshots across shard engines at scrape time.
   const obs::Histogram& queue_wait_histogram() const {
     return queue_wait_hist_;
   }
 
-  /// Execution (dequeue -> run returned) latency distribution.
+  /// Execution (task start -> run returned) latency distribution.
   const obs::Histogram& exec_histogram() const { return exec_hist_; }
 
   const EngineConfig& config() const { return config_; }
 
  private:
-  struct QueuedTask {
-    std::function<void()> run;      // executes the request into its slot
-    std::function<void()> publish;  // callback + promise, after run
-    std::function<void()> cancel;   // completes the promise with a rejection
-    std::chrono::steady_clock::time_point enqueued_at;
-  };
-
-  /// Defined (and instantiated for each request type) in engine.cpp.
-  template <typename Request>
-  bool enqueue(Request& request, Callback<Request> done, bool blocking,
-               std::future<typename Request::Result>& out);
-
   // The single-request executors shared by the batch and async paths.
   static InsertResult run(const EngineConfig& config, const InsertRequest& request);
   static ExtractResult run(const EngineConfig& config, const ExtractRequest& request);
   static TraceBatchResult run(const EngineConfig& config, const TraceRequest& request);
   static VerifyResult run(const EngineConfig& config, const VerifyRequest& request);
 
-  size_t worker_cap() const;
-  void pump();
-
   EngineConfig config_;
   ThreadPool* pool_;  // bound at construction (ThreadPool::active())
 
   mutable std::mutex mutex_;
-  std::condition_variable space_cv_;  // submit backpressure
-  std::condition_variable idle_cv_;   // drain / shutdown
-  std::deque<QueuedTask> queue_;
-  size_t running_pumps_ = 0;  // drain tasks scheduled or running on the pool
-  size_t in_flight_ = 0;      // requests currently executing
+  std::condition_variable idle_cv_;  // drain / shutdown
+  size_t pending_ = 0;  // submitted, result not yet published
+  size_t posted_ = 0;   // pool tasks that have not returned
   bool accepting_ = true;
   Counters counters_;
   obs::Histogram queue_wait_hist_;

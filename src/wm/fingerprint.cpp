@@ -30,7 +30,8 @@ FingerprintSet FingerprintSet::load(const std::string& path) {
   BinaryReader reader(path, kSetMagic, kSetVersion);
   FingerprintSet set;
   set.scheme = reader.read_string();
-  const uint64_t count = reader.read_u64();
+  // Each device starts with its id's u64 length prefix.
+  const uint64_t count = reader.read_count(sizeof(uint64_t));
   set.devices.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     DeviceFingerprint fp;

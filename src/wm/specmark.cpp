@@ -97,7 +97,8 @@ SpecMarkRecord SpecMarkRecord::load(BinaryReader& r) {
   record.epsilon = r.read_f64();
   record.bits_per_layer = r.read_i64();
   record.highfreq_fraction = r.read_f64();
-  const uint64_t count = r.read_u64();
+  // Each layer starts with its name's u64 length prefix.
+  const uint64_t count = r.read_count(sizeof(uint64_t));
   record.layers.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     SpecMarkLayer layer;

@@ -17,6 +17,7 @@
 #include "cli/daemon.h"
 #include "model_zoo/store.h"
 #include "model_zoo/zoo.h"
+#include "util/serialize.h"
 #include "wm/fingerprint.h"
 
 namespace emmark {
@@ -134,6 +135,33 @@ TEST_F(DaemonTest, RequestFailuresAreIsolatedAndOrdered) {
   // Store cost is still one build (same spec throughout; failures that
   // reached the store count as hits, not rebuilds).
   EXPECT_NE(lines[5].find("\"builds\":1"), std::string::npos) << lines[5];
+}
+
+TEST_F(DaemonTest, ForgedRecordLengthAnswersAnErrorLine) {
+  // A client-named record whose scheme-name prefix claims 2 GiB in a
+  // 20-byte file (header + one u64): the extract fails its own slot with
+  // the archive length check instead of allocating the claimed size.
+  const std::string forged = path("forged.rec");
+  {
+    BinaryWriter w(forged, "EMMSREC", 1);
+    w.write_u64(2ull << 30);
+    w.close();
+  }
+  ASSERT_EQ(std::filesystem::file_size(forged), 20u);
+  const std::vector<std::string> lines = run(
+      "insert id=a model=opt-125m-sim quant=int4 codes=" +
+      path("forged.codes") + "\n"
+      "extract id=b model=opt-125m-sim quant=int4 record=" + forged +
+      " codes=" + path("forged.codes") + "\n"
+      "insert id=c model=opt-125m-sim quant=int4\n");
+
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"id\":\"b\""), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("\"ok\":false"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("archive length 2147483648 exceeds"), std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find("\"ok\":true"), std::string::npos) << lines[2];
 }
 
 TEST_F(DaemonTest, SeedFromIdGivesDistinctPlacementsPerRequest) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -367,10 +368,7 @@ TEST(AsyncEngine, ShutdownWithNonEmptyQueueResolvesEveryFuture) {
   EngineFixture fx;
   ThreadPool pool(1);
   ThreadPool::ScopedOverride over(pool);
-
-  EngineConfig config;
-  config.max_workers = 1;
-  WatermarkEngine engine(config);
+  WatermarkEngine engine;
 
   constexpr size_t kBacklog = 12;
   std::vector<QuantizedModel> models(kBacklog, *fx.f.quantized);
@@ -401,82 +399,45 @@ TEST(AsyncEngine, ShutdownWithNonEmptyQueueResolvesEveryFuture) {
   EXPECT_NE(slot.error.find("shut down"), std::string::npos);
 }
 
-TEST(AsyncEngine, BoundedQueueBackpressureStillCompletesEverything) {
+TEST(AsyncEngine, DeepBurstOnOneWorkerCompletesInSubmitOrder) {
+  // The engine keeps no queue of its own: a 300-deep burst waits in the
+  // pool's dispatch queue, and a one-thread pool runs it strictly in
+  // submit order.
   EngineFixture fx;
-  EngineConfig config;
-  config.max_queue = 2;  // deep workloads must squeeze through a tiny queue
-  WatermarkEngine engine(config);
+  QuantizedModel marked = *fx.f.quantized;
+  const SchemeRecord record = EmMarkScheme().insert(marked, fx.f.stats, fx.key);
 
-  constexpr size_t kRequests = 10;
-  std::vector<QuantizedModel> models(kRequests, *fx.f.quantized);
-  auto requests = fx.make_requests(models);
-  std::vector<std::future<WatermarkEngine::InsertResult>> futures;
-  for (auto& request : requests) futures.push_back(engine.submit(request));
-  for (auto& future : futures) {
-    const auto slot = future.get();
-    EXPECT_TRUE(slot.ok) << slot.error;
-  }
-  engine.drain();
-}
-
-TEST(AsyncEngine, TrySubmitRefusesFullQueueWithoutBlocking) {
-  // One pinned worker + a one-deep queue: try_submit must refuse (leaving
-  // the request reusable) instead of parking the caller the way submit()
-  // does -- the non-blocking contract the server event loop depends on.
-  EngineFixture fx;
   ThreadPool pool(1);
   ThreadPool::ScopedOverride over(pool);
+  WatermarkEngine engine;
 
-  EngineConfig config;
-  config.max_workers = 1;
-  config.max_queue = 1;
-  WatermarkEngine engine(config);
-
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::promise<void> started;
-  std::vector<QuantizedModel> models(3, *fx.f.quantized);
-  auto requests = fx.make_requests(models);
-
-  // Head request: its model_factory pins the only worker on the gate.
-  auto head = requests[0];
-  head.model = nullptr;
-  QuantizedModel* head_model = &models[0];
-  head.model_factory = [&started, gate, head_model] {
-    started.set_value();
-    gate.wait();
-    return head_model;
-  };
-  auto head_future = engine.submit(std::move(head));
-  started.get_future().wait();  // worker is now executing, queue empty
-
-  // Second request fills the queue; a third must be refused, not block.
-  auto queued_future = engine.submit(requests[1]);
-  auto refused = requests[2];
-  std::future<WatermarkEngine::InsertResult> refused_future;
-  EXPECT_FALSE(engine.try_submit(refused, refused_future));
-  EXPECT_FALSE(refused_future.valid());     // out untouched
-  EXPECT_EQ(refused.id, requests[2].id);    // request untouched, reusable
-
-  release.set_value();
+  constexpr size_t kBurst = 300;
+  std::mutex order_mutex;
+  std::vector<std::string> order;
+  std::vector<std::future<WatermarkEngine::ExtractResult>> futures;
+  for (size_t i = 0; i < kBurst; ++i) {
+    WatermarkEngine::ExtractRequest request;
+    request.id = "burst-" + std::to_string(i);
+    request.suspect = &marked;
+    request.original = fx.f.quantized.get();
+    request.record = &record;
+    futures.push_back(engine.submit(
+        std::move(request), [&](const WatermarkEngine::ExtractResult& slot) {
+          std::lock_guard<std::mutex> lock(order_mutex);
+          order.push_back(slot.id);
+        }));
+  }
   engine.drain();
-  EXPECT_TRUE(head_future.get().ok);
-  EXPECT_TRUE(queued_future.get().ok);
 
-  // With the queue drained the same request is accepted and completes.
-  EXPECT_TRUE(engine.try_submit(refused, refused_future));
-  ASSERT_TRUE(refused_future.valid());
-  EXPECT_TRUE(refused_future.get().ok);
-
-  // After shutdown, try_submit still returns true -- the request is
-  // consumed into an immediate ok=false rejection slot, like submit().
-  engine.shutdown();
-  auto late = requests[1];
-  std::future<WatermarkEngine::InsertResult> late_future;
-  EXPECT_TRUE(engine.try_submit(late, late_future));
-  const auto slot = late_future.get();
-  EXPECT_FALSE(slot.ok);
-  EXPECT_NE(slot.error.find("shut down"), std::string::npos);
+  ASSERT_EQ(order.size(), kBurst);
+  for (size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(order[i], "burst-" + std::to_string(i));
+    const auto slot = futures[i].get();
+    ASSERT_TRUE(slot.ok) << slot.error;
+    EXPECT_DOUBLE_EQ(slot.report.wer_pct(), 100.0);
+  }
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_EQ(engine.counters().submitted, kBurst);
 }
 
 TEST(AsyncEngine, ReadyFutureImpliesNotPending) {

@@ -83,6 +83,35 @@ TEST_F(SerializeTest, RejectsTruncatedArchive) {
   EXPECT_THROW(r.read_vector<float>(), SerializeError);
 }
 
+TEST_F(SerializeTest, OversizedLengthPrefixFailsBeforeAllocating) {
+  // A forged 2 GiB length in a tiny file must fail the length check, not
+  // allocate 2 GiB and then report truncation.
+  {
+    BinaryWriter w(path_, "TEST", 1);
+    w.write_u64(2ull << 30);
+    w.write_u64(2ull << 30);
+    w.close();
+  }
+  for (int which = 0; which < 2; ++which) {
+    BinaryReader r(path_, "TEST", 1);
+    if (which == 1) r.read_u64();  // the second prefix, 0 bytes left
+    try {
+      which == 0 ? (void)r.read_string() : (void)r.read_vector<float>();
+      ADD_FAILURE() << "oversized length accepted";
+    } catch (const SerializeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("archive length 2147483648 exceeds the " +
+                          std::string(which == 0 ? "8" : "0") + " bytes left"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("truncated"), std::string::npos) << what;
+    }
+  }
+  // read_count bounds element counts by a per-element minimum too.
+  BinaryReader r(path_, "TEST", 1);
+  EXPECT_THROW(r.read_count(sizeof(uint64_t)), SerializeError);
+}
+
 TEST_F(SerializeTest, RejectsMissingFile) {
   EXPECT_THROW(BinaryReader("/nonexistent/emmark.bin", "TEST", 1), SerializeError);
 }

@@ -355,14 +355,15 @@ TEST_F(ServerTest, StatsDoesNotWaitForOtherSessionsWork) {
       << "stats drained another session's in-flight work";
 }
 
-TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
-  // A burst far past the engine queue depth into one shard is absorbed as
-  // deferred in-session submissions (try_submit refusals), never as a
-  // blocked poll loop: a second connection stays responsive for the whole
-  // drain, and the burst still comes back complete and in order.
+TEST_F(ServerTest, BurstOnOneWorkerNeverBlocksIntake) {
+  // A burst into one shard whose engine has a single worker waits in the
+  // pool, never in a blocked poll loop: a second connection stays
+  // responsive for the whole drain, and the burst still comes back
+  // complete and in order. The engine binds the override pool below at
+  // construction, pinning one worker.
+  ThreadPool pool(1);
+  ThreadPool::ScopedOverride override_pool(pool);
   RouterConfig rc = config(/*shards=*/1);
-  rc.engine_queue = 2;
-  rc.max_workers = 1;
   RunningServer rs(rc);
 
   LineClient warmup("127.0.0.1", rs.server.port());
@@ -377,8 +378,8 @@ TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
     bursty.send_line("insert id=q-" + std::to_string(r) +
                      " model=opt-125m-sim quant=int4 seed-from-id=1");
   }
-  // Let the server read the burst: the engine queue (depth 2) is full and
-  // the rest of the burst is deferred inside the session.
+  // Let the server read the burst: the single worker runs one request and
+  // the rest of the burst waits behind it.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   std::atomic<int> order{0};
@@ -400,7 +401,7 @@ TEST_F(ServerTest, FullEngineQueueNeverBlocksIntake) {
   EXPECT_TRUE(ok(stats[0])) << stats[0];
   burst_reader.join();
   EXPECT_LT(probe_at, burst_done_at)
-      << "a full engine queue on one connection stalled another connection";
+      << "a burst on one connection stalled another connection";
 }
 
 TEST_F(ServerTest, MetricsScrapeDoesNotBlockOtherConnections) {
